@@ -57,6 +57,7 @@
 #include "core/experiment.h"
 #include "core/journal.h"
 #include "core/supervisor.h"
+#include "netbase/frame.h"
 #include "obsv/metrics.h"
 
 namespace originscan::core {
@@ -99,14 +100,9 @@ enum class SegmentKind : std::uint8_t {
 
 [[nodiscard]] std::string_view segment_kind_name(SegmentKind kind);
 
-// Introspection rows (doc-name, wire-value) in definition order, for
-// tools/protocol_doc_check. Mirrors service::ProtocolSymbol.
-struct DistProtocolSymbol {
-  std::string_view name;
-  unsigned value;
-};
-[[nodiscard]] std::span<const DistProtocolSymbol> dist_message_symbols();
-[[nodiscard]] std::span<const DistProtocolSymbol> dist_segment_symbols();
+// Introspection rows for tools/protocol_doc_check.
+[[nodiscard]] std::span<const net::ProtocolSymbol> dist_message_symbols();
+[[nodiscard]] std::span<const net::ProtocolSymbol> dist_segment_symbols();
 
 // One decoded protocol message. Fields are populated per type; unused
 // fields keep their defaults on the wire (encode writes only the typed

@@ -82,21 +82,27 @@ FrameError parse_single_frame(std::span<const std::uint8_t> data,
 
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   if (error_ != FrameError::kNone) return;
+  // Compact lazily: erasing per frame is quadratic in a burst of frames.
+  if (head_ >= buffer_.size() / 2) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
 std::optional<std::vector<std::uint8_t>> FrameDecoder::next() {
   if (error_ != FrameError::kNone) return std::nullopt;
   FrameView view;
-  const FrameError error = parse_frame(buffer_, view, max_payload_);
+  const FrameError error =
+      parse_frame(std::span(buffer_).subspan(head_), view, max_payload_);
   if (error == FrameError::kTruncated) return std::nullopt;  // need bytes
   if (error != FrameError::kNone) {
     error_ = error;
     return std::nullopt;
   }
   std::vector<std::uint8_t> payload(view.payload.begin(), view.payload.end());
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(view.consumed));
+  head_ += view.consumed;
   return payload;
 }
 

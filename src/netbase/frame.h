@@ -42,6 +42,13 @@ enum class FrameError {
 
 [[nodiscard]] std::string_view frame_error_name(FrameError error);
 
+// One {doc-name, wire-value} row of a protocol's X-macro symbol table
+// (core/dist.h, service/wire.h), for tools/protocol_doc_check.
+struct ProtocolSymbol {
+  std::string_view name;
+  unsigned value;
+};
+
 // Default payload cap. Generous for every real segment (a full cell's
 // store segment is a few MiB at paper scale) while keeping a corrupt
 // length field from turning into a multi-gigabyte allocation.
@@ -97,11 +104,12 @@ class FrameDecoder {
   [[nodiscard]] FrameError error() const { return error_; }
   // Bytes buffered but not yet consumed by a complete frame. A nonzero
   // value at EOF means the peer died mid-frame (a torn write).
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
  private:
   std::size_t max_payload_;
   std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;  // bytes of buffer_ already yielded as frames
   FrameError error_ = FrameError::kNone;
 };
 

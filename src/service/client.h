@@ -11,7 +11,7 @@
 #include <optional>
 #include <string>
 
-#include "netbase/frame.h"
+#include "netbase/framed_conn.h"
 #include "service/session.h"
 #include "service/wire.h"
 
@@ -19,14 +19,8 @@ namespace originscan::service {
 
 class ServiceClient {
  public:
-  // Takes ownership of a connected (blocking or nonblocking) fd.
-  explicit ServiceClient(int fd) : fd_(fd) {}
-  ~ServiceClient();
-
-  ServiceClient(ServiceClient&& other) noexcept;
-  ServiceClient& operator=(ServiceClient&&) = delete;
-  ServiceClient(const ServiceClient&) = delete;
-  ServiceClient& operator=(const ServiceClient&) = delete;
+  // Takes ownership of a connected fd (made nonblocking; calls park in poll).
+  explicit ServiceClient(int fd) : link_(fd) {}
 
   // HELLO/HELLO_ACK handshake. On success fills the daemon's universe
   // identity; on refusal or transport failure returns false and sets
@@ -53,15 +47,14 @@ class ServiceClient {
   std::optional<ServiceWire> wait_for(std::uint64_t request_id);
 
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] int fd() const { return link_.fd(); }
 
   // Release the fd without closing it (the loadgen hands fds to its own
   // poll loop).
-  int release();
+  int release() { return link_.release(); }
 
  private:
-  int fd_;
-  net::FrameDecoder decoder_;
+  net::FramedConn link_;
   std::uint64_t universe_seed_ = 0;
   std::uint32_t universe_size_ = 0;
   std::string error_;

@@ -16,16 +16,9 @@
 #include <utility>
 
 #include "core/parallel.h"
+#include "netbase/framed_conn.h"
 
 namespace originscan::service {
-namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-}  // namespace
 
 int make_unix_listener(const std::string& path, std::string* error) {
   sockaddr_un addr{};
@@ -71,24 +64,17 @@ int connect_unix(const std::string& path, std::string* error) {
   return fd;
 }
 
-// One client connection owned by the event loop: its decoder, its
-// outbound buffer, and the requests it has open. `seq` disambiguates a
-// reused fd number — completions carry the seq of the connection that
-// submitted them and are discarded on mismatch.
+// One client connection owned by the event loop: its framed transport
+// and the requests it has open. `seq` disambiguates a reused fd number —
+// completions carry the seq of the connection that submitted them and
+// are discarded on mismatch.
 struct Originscand::Connection {
-  int fd = -1;
+  net::FramedConn link;
   std::uint64_t seq = 0;
-  net::FrameDecoder decoder;
   bool hello_done = false;
-  bool close_after_flush = false;  // flush outbound, then drop
-  std::vector<std::uint8_t> outbound;
-  std::size_t outbound_off = 0;
+  bool gone = false;  // disconnect() has run
   // client request_id -> loop-global request key
   std::unordered_map<std::uint64_t, std::uint64_t> open_requests;
-
-  [[nodiscard]] bool flush_pending() const {
-    return outbound_off < outbound.size();
-  }
 };
 
 // One admitted session, from SUBMIT to delivery. Stays in the table
@@ -133,7 +119,8 @@ class Originscand::Loop {
 
   void run(std::vector<int> preconnected) {
     if (wake_read_fd_ < 0 || wake_write_fd_ < 0) return;
-    if (listen_fd_ >= 0) set_nonblocking(listen_fd_);
+    // accept_connections() drains the backlog until EAGAIN.
+    if (listen_fd_ >= 0) ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
 
     for (int fd : preconnected) adopt_connection(fd);
 
@@ -150,10 +137,9 @@ class Originscand::Loop {
     // every executor thread has joined its queue before teardown.
     pool_.wait();
     drain_completions();
-    for (auto& [fd, conn] : connections_) {
-      flush_blocking(*conn);
-      ::close(fd);
-    }
+    // Final flush: park briefly on a slow reader rather than drop a RESULT
+    // the drain promised.
+    for (auto& [fd, conn] : connections_) (void)conn->link.flush_blocking(100);
     connections_.clear();
   }
 
@@ -165,7 +151,7 @@ class Originscand::Loop {
     if (!draining_) return false;
     if (!requests_.empty()) return false;
     for (const auto& [fd, conn] : connections_) {
-      if (conn->flush_pending() && !conn->close_after_flush) return false;
+      if (conn->link.pending() > 0 && !conn->link.closing()) return false;
     }
     return true;
   }
@@ -188,9 +174,7 @@ class Originscand::Loop {
     }
     std::vector<int> conn_fds;
     for (auto& [fd, conn] : connections_) {
-      short events = conn->close_after_flush ? 0 : POLLIN;
-      if (conn->flush_pending()) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
+      fds.push_back({fd, conn->link.poll_events(), 0});
       conn_fds.push_back(fd);
     }
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 200);
@@ -212,7 +196,7 @@ class Originscand::Loop {
       auto it = connections_.find(fd);
       if (it == connections_.end()) continue;
       Connection& conn = *it->second;
-      if (revents & POLLOUT) flush_some(conn);
+      if ((revents & POLLOUT) && !conn.link.flush()) disconnect(conn);
       if (revents & (POLLIN | POLLHUP | POLLERR)) read_some(conn);
     }
     reap_closed();
@@ -227,45 +211,31 @@ class Originscand::Loop {
   }
 
   void adopt_connection(int fd) {
-    set_nonblocking(fd);
     auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
+    conn->link = net::FramedConn(fd);
     conn->seq = ++conn_seq_;
     connections_.emplace(fd, std::move(conn));
     metrics_.add(obsv::Counter::kServiceConnections);
   }
 
   void read_some(Connection& conn) {
-    if (conn.close_after_flush) return;
-    bool peer_gone = false;
-    std::uint8_t buffer[16384];
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        conn.decoder.feed(std::span(buffer, static_cast<std::size_t>(n)));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // 0 = orderly shutdown, <0 = error: either way the peer is gone.
-      // Frames that arrived before the close still count — a client may
-      // legitimately send SHUTDOWN (or a fire-and-forget CANCEL) and hang
-      // up in the same wire flight, so decode before disconnecting.
-      peer_gone = true;
-      break;
-    }
-    while (auto payload = conn.decoder.next()) {
-      if (conn.close_after_flush) break;
+    if (conn.link.closing()) return;
+    // Handle frames before the hang-up: `client --shutdown` sends and exits.
+    conn.link.receive();
+    while (!conn.link.closing()) {
+      const auto payload = conn.link.next();
+      if (!payload) break;
       handle_payload(conn, *payload);
     }
-    if (!conn.close_after_flush &&
-        conn.decoder.error() != net::FrameError::kNone) {
+    if (!conn.link.closing() &&
+        conn.link.read_state() == net::FramedConn::ReadState::kPoisoned) {
       refuse(conn, 0, ServiceError::kMalformed,
              std::string("frame error: ") +
-                 std::string(net::frame_error_name(conn.decoder.error())));
+                 std::string(net::frame_error_name(conn.link.frame_error())));
       metrics_.add(obsv::Counter::kServiceFramesMalformed);
-      conn.close_after_flush = true;
+      conn.link.close_after_flush();
     }
-    if (peer_gone) disconnect(conn);
+    if (conn.link.peer_closed()) disconnect(conn);
   }
 
   void handle_payload(Connection& conn, std::span<const std::uint8_t> payload) {
@@ -273,13 +243,13 @@ class Originscand::Loop {
     if (!message) {
       refuse(conn, 0, ServiceError::kMalformed, "undecodable message");
       metrics_.add(obsv::Counter::kServiceFramesMalformed);
-      conn.close_after_flush = true;
+      conn.link.close_after_flush();
       return;
     }
     if (!conn.hello_done && message->type != ServiceMsg::kHello) {
       refuse(conn, 0, ServiceError::kMalformed, "expected HELLO first");
       metrics_.add(obsv::Counter::kServiceFramesMalformed);
-      conn.close_after_flush = true;
+      conn.link.close_after_flush();
       return;
     }
     switch (message->type) {
@@ -303,7 +273,7 @@ class Originscand::Loop {
         // violations, same as undecodable bytes.
         refuse(conn, 0, ServiceError::kMalformed, "unexpected message type");
         metrics_.add(obsv::Counter::kServiceFramesMalformed);
-        conn.close_after_flush = true;
+        conn.link.close_after_flush();
         break;
     }
   }
@@ -313,7 +283,7 @@ class Originscand::Loop {
       refuse(conn, 0, ServiceError::kBadVersion,
              "server speaks version " +
                  std::to_string(kServiceProtocolVersion));
-      conn.close_after_flush = true;
+      conn.link.close_after_flush();
       return;
     }
     conn.hello_done = true;
@@ -362,7 +332,7 @@ class Originscand::Loop {
     auto request = std::make_unique<Request>();
     request->key = ++request_seq_;
     request->conn_seq = conn.seq;
-    request->conn_fd = conn.fd;
+    request->conn_fd = conn.link.fd();
     request->client_request_id = message.request_id;
     request->tenant = message.tenant;
     request->spec = std::move(spec);
@@ -446,7 +416,9 @@ class Originscand::Loop {
   // Peer vanished: every queued request it owns is dropped, every
   // running one is cooperatively cancelled (its completion is discarded
   // on arrival via `orphaned`). Nothing another tenant owns is touched.
+  // Once per connection: EPIPE and EOF can both report one hang-up.
   void disconnect(Connection& conn) {
+    if (std::exchange(conn.gone, true)) return;
     metrics_.add(obsv::Counter::kServiceDisconnects);
     for (const auto& [client_id, key] : conn.open_requests) {
       const auto rit = requests_.find(key);
@@ -463,9 +435,8 @@ class Originscand::Loop {
       }
     }
     conn.open_requests.clear();
-    conn.close_after_flush = true;
-    conn.outbound.clear();  // no reader left; drop undelivered bytes
-    conn.outbound_off = 0;
+    conn.link.close_after_flush();
+    conn.link.drop_outbound();  // no reader left
   }
 
   // Round-robin across tenants with queued work: each pass hands at most
@@ -594,9 +565,8 @@ class Originscand::Loop {
   // ---- outbound path --------------------------------------------------
 
   void send(Connection& conn, const ServiceWire& message) {
-    const std::vector<std::uint8_t> frame = encode_service_message(message);
-    conn.outbound.insert(conn.outbound.end(), frame.begin(), frame.end());
-    flush_some(conn);
+    conn.link.queue(encode_service_message(message));
+    if (!conn.link.flush()) disconnect(conn);
   }
 
   void refuse(Connection& conn, std::uint64_t request_id, ServiceError error,
@@ -615,44 +585,12 @@ class Originscand::Loop {
     refuse(conn, request_id, error, std::move(text));
   }
 
-  void flush_some(Connection& conn) {
-    while (conn.flush_pending()) {
-      const ssize_t n =
-          ::send(conn.fd, conn.outbound.data() + conn.outbound_off,
-                 conn.outbound.size() - conn.outbound_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.outbound_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      disconnect(conn);
-      return;
-    }
-    if (conn.outbound_off == conn.outbound.size()) {
-      conn.outbound.clear();
-      conn.outbound_off = 0;
-    }
-  }
-
-  // Final flush at teardown: the fds may still be nonblocking, so spin
-  // briefly on EAGAIN instead of dropping a RESULT a drain promised.
-  void flush_blocking(Connection& conn) {
-    for (int spins = 0; conn.flush_pending() && spins < 1000; ++spins) {
-      pollfd pfd{conn.fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, 100) <= 0) break;
-      const std::size_t before = conn.outbound_off;
-      flush_some(conn);
-      if (conn.fd < 0 || conn.outbound_off == before) break;
-    }
-  }
-
   // Connections marked dead are reaped after the event pass so iterator
   // invalidation can't bite mid-loop.
   void reap_closed() {
     for (auto it = connections_.begin(); it != connections_.end();) {
-      Connection& conn = *it->second;
-      if (conn.close_after_flush && !conn.flush_pending()) {
-        ::close(conn.fd);
+      const net::FramedConn& link = it->second->link;
+      if (link.closing() && link.pending() == 0) {
         it = connections_.erase(it);
       } else {
         ++it;
@@ -692,11 +630,9 @@ class Originscand::Loop {
 Originscand::Originscand(const ServiceConfig& config)
     : config_(config), universe_(config.scenario) {
   int pipe_fds[2];
-  if (::pipe(pipe_fds) == 0) {
+  if (::pipe2(pipe_fds, O_NONBLOCK) == 0) {
     wake_read_fd_ = pipe_fds[0];
     wake_write_fd_ = pipe_fds[1];
-    set_nonblocking(wake_read_fd_);
-    set_nonblocking(wake_write_fd_);
   }
 }
 

@@ -30,10 +30,10 @@ bool valid_protocol(std::uint8_t raw) {
   return false;
 }
 
-#define OSN_X(symbol, value, name) ProtocolSymbol{name, value},
-constexpr ProtocolSymbol kMessageSymbols[] = {OSN_SERVICE_MESSAGES(OSN_X)};
-constexpr ProtocolSymbol kErrorSymbols[] = {OSN_SERVICE_ERRORS(OSN_X)};
-constexpr ProtocolSymbol kStateSymbols[] = {OSN_SERVICE_STATES(OSN_X)};
+#define OSN_X(symbol, value, name) net::ProtocolSymbol{name, value},
+constexpr net::ProtocolSymbol kMessageSymbols[] = {OSN_SERVICE_MESSAGES(OSN_X)};
+constexpr net::ProtocolSymbol kErrorSymbols[] = {OSN_SERVICE_ERRORS(OSN_X)};
+constexpr net::ProtocolSymbol kStateSymbols[] = {OSN_SERVICE_STATES(OSN_X)};
 #undef OSN_X
 
 }  // namespace
@@ -71,13 +71,13 @@ std::string_view session_state_name(SessionState state) {
   return "?";
 }
 
-std::span<const ProtocolSymbol> service_message_symbols() {
+std::span<const net::ProtocolSymbol> service_message_symbols() {
   return kMessageSymbols;
 }
-std::span<const ProtocolSymbol> service_error_symbols() {
+std::span<const net::ProtocolSymbol> service_error_symbols() {
   return kErrorSymbols;
 }
-std::span<const ProtocolSymbol> service_state_symbols() {
+std::span<const net::ProtocolSymbol> service_state_symbols() {
   return kStateSymbols;
 }
 

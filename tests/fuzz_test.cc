@@ -3,12 +3,16 @@
 // messages without crashing, and round-trip anything it accepts.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 
 #include "core/dist.h"
 #include "core/store.h"
 #include "faultinject/faultinject.h"
 #include "netbase/frame.h"
+#include "netbase/framed_conn.h"
 #include "netbase/headers.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
@@ -711,6 +715,98 @@ TEST(Fuzz, ServiceMessageCodecRoundTripsAndSurvivesMutations) {
     const auto payload = decoder.next();
     ASSERT_TRUE(payload.has_value());
     EXPECT_FALSE(service::decode_service_message(*payload).has_value());
+  }
+}
+
+TEST(Fuzz, FramedConnMatchesBareDecoderOnChunkedStreams) {
+  // The transport under both protocols: a stream of dist and service
+  // frames — some garbled, some duplicated, the tail sometimes cut —
+  // written into a socketpair in random chunks and drained by a
+  // FramedConn at random points, then closed. It must yield exactly the
+  // payloads a bare FrameDecoder fed the whole stream yields, and end in
+  // the matching class: poisoned with the same error, torn when bytes
+  // remain at EOF, clean EOF otherwise.
+  net::Rng rng(118);
+  std::vector<std::vector<std::uint8_t>> frames;
+  {
+    core::WireMessage message;
+    message.type = core::MsgType::kHello;
+    message.worker = 3;
+    frames.push_back(core::encode_message(message));
+    message.type = core::MsgType::kGrant;
+    message.have_snapshot = true;
+    message.snapshot = random_bytes(rng, 256);
+    frames.push_back(core::encode_message(message));
+    message.type = core::MsgType::kSegment;
+    message.bytes = random_bytes(rng, 512);
+    frames.push_back(core::encode_message(message));
+    message.type = core::MsgType::kDone;
+    message.sha256 = "abc123";
+    frames.push_back(core::encode_message(message));
+    service::ServiceWire wire;
+    wire.type = service::ServiceMsg::kSubmit;
+    wire.origin_code = "JP";
+    frames.push_back(service::encode_service_message(wire));
+    wire.type = service::ServiceMsg::kResult;
+    wire.records = random_bytes(rng, 512);
+    frames.push_back(service::encode_service_message(wire));
+    wire.type = service::ServiceMsg::kError;
+    wire.text = "admission caps reached";
+    frames.push_back(service::encode_service_message(wire));
+  }
+
+  for (int round = 0; round < 400; ++round) {
+    std::vector<std::uint8_t> stream;
+    const std::size_t count = 1 + rng.below(8);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::uint8_t> frame = frames[rng.below(frames.size())];
+      switch (rng.below(8)) {
+        case 0:  // garbled byte
+          frame[rng.below(frame.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+          break;
+        case 1:  // duplicated frame
+          stream.insert(stream.end(), frame.begin(), frame.end());
+          break;
+        default:
+          break;
+      }
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    if (rng.below(4) == 0) stream.resize(rng.below(stream.size() + 1));
+
+    net::FrameDecoder bare;
+    bare.feed(stream);
+    std::vector<std::vector<std::uint8_t>> want;
+    while (auto payload = bare.next()) want.push_back(std::move(*payload));
+    const auto want_state =
+        bare.error() != net::FrameError::kNone
+            ? net::FramedConn::ReadState::kPoisoned
+            : (bare.buffered() > 0 ? net::FramedConn::ReadState::kTorn
+                                   : net::FramedConn::ReadState::kEof);
+
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    net::FramedConn conn(sv[0]);
+    std::vector<std::vector<std::uint8_t>> got;
+    const auto drain = [&] {
+      conn.receive();
+      while (auto payload = conn.next()) got.push_back(std::move(*payload));
+    };
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::size_t chunk =
+          std::min<std::size_t>(stream.size() - off, 1 + rng.below(512));
+      ASSERT_EQ(::write(sv[1], stream.data() + off, chunk),
+                static_cast<ssize_t>(chunk));
+      off += chunk;
+      if (rng.below(2) == 0) drain();
+    }
+    ::close(sv[1]);
+    drain();
+
+    EXPECT_EQ(got, want) << "round=" << round;
+    EXPECT_EQ(conn.read_state(), want_state) << "round=" << round;
+    EXPECT_EQ(conn.frame_error(), bare.error()) << "round=" << round;
   }
 }
 

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <set>
+#include <string_view>
 
 #include "netbase/byteio.h"
+#include "netbase/framed_conn.h"
 #include "netbase/headers.h"
 #include "netbase/interval_set.h"
 #include "netbase/ipv4.h"
@@ -314,6 +321,148 @@ TEST(VirtualTime, Ordering) {
   EXPECT_LT(VirtualTime::from_seconds(1), VirtualTime::from_seconds(2));
   EXPECT_EQ(VirtualTime::from_seconds(3) - VirtualTime::from_seconds(1),
             VirtualTime::from_seconds(2));
+}
+
+// ------------------------------------------------------------ FramedConn --
+
+struct Pair {
+  FramedConn conn;  // under test
+  int peer = -1;    // raw far end, owned by the test
+};
+
+Pair socket_pair() {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  return {FramedConn(sv[0]), sv[1]};
+}
+
+std::vector<std::uint8_t> bytes_of(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+void write_raw(int fd, std::span<const std::uint8_t> bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(FramedConn, YieldsEveryFrameThatArrivedWithTheEof) {
+  auto [conn, peer] = socket_pair();
+  std::vector<std::uint8_t> wire;
+  for (std::string_view text : {"one", "two", "three"}) {
+    append_frame(wire, bytes_of(text));
+  }
+  write_raw(peer, wire);
+  ::close(peer);
+
+  conn.receive();
+  for (std::string_view text : {"one", "two", "three"}) {
+    const auto payload = conn.next();
+    ASSERT_TRUE(payload.has_value()) << text;
+    EXPECT_EQ(*payload, bytes_of(text));
+  }
+  EXPECT_FALSE(conn.next().has_value());
+  EXPECT_TRUE(conn.peer_closed());
+  EXPECT_EQ(conn.read_state(), FramedConn::ReadState::kEof);
+  EXPECT_EQ(conn.poll_events() & POLLIN, 0);
+}
+
+TEST(FramedConn, EofMidFrameIsTorn) {
+  auto [conn, peer] = socket_pair();
+  std::vector<std::uint8_t> wire = encode_frame(bytes_of("whole"));
+  const std::vector<std::uint8_t> torn = encode_frame(bytes_of("torn frame"));
+  wire.insert(wire.end(), torn.begin(), torn.begin() + 6);
+  write_raw(peer, wire);
+  ::close(peer);
+
+  conn.receive();
+  const auto payload = conn.next();
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(*payload, bytes_of("whole"));
+  EXPECT_FALSE(conn.next().has_value());
+  EXPECT_EQ(conn.read_state(), FramedConn::ReadState::kTorn);
+  EXPECT_EQ(conn.frame_error(), FrameError::kNone);
+}
+
+TEST(FramedConn, BadCrcAndOversizedLengthPoison) {
+  std::vector<std::uint8_t> bad_crc = encode_frame(bytes_of("payload"));
+  bad_crc.back() ^= 0x01;
+  const std::vector<std::uint8_t> oversized = {0xFF, 0xFF, 0xFF, 0xFF, 0x00};
+  const std::pair<std::vector<std::uint8_t>, FrameError> cases[] = {
+      {bad_crc, FrameError::kBadCrc}, {oversized, FrameError::kOversized}};
+  for (const auto& [bytes, error] : cases) {
+    auto [conn, peer] = socket_pair();
+    write_raw(peer, bytes);
+    conn.receive();
+    EXPECT_FALSE(conn.next().has_value());
+    EXPECT_EQ(conn.read_state(), FramedConn::ReadState::kPoisoned);
+    EXPECT_EQ(conn.frame_error(), error);
+    EXPECT_EQ(conn.poll_events() & POLLIN, 0);
+    // No resynchronization: a valid frame after the poison never decodes.
+    write_raw(peer, encode_frame(bytes_of("valid")));
+    conn.receive();
+    EXPECT_FALSE(conn.next().has_value());
+    ::close(peer);
+  }
+}
+
+TEST(FramedConn, PartialWriteOnEagainResumesByteExact) {
+  auto [conn, peer] = socket_pair();
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof small), 0);
+  std::vector<std::uint8_t> payload(1u << 20);
+  Rng rng(7);
+  for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng());
+  const std::vector<std::uint8_t> frame = encode_frame(payload);
+
+  conn.queue(frame);
+  ASSERT_TRUE(conn.flush());
+  ASSERT_GT(conn.pending(), 0u) << "the first attempt must stop on EAGAIN";
+  EXPECT_LT(conn.pending(), frame.size());
+  EXPECT_NE(conn.poll_events() & POLLOUT, 0);
+
+  // Alternate reading the far end and resuming the flush; the frame must
+  // arrive whole and CRC-clean across many partial sends.
+  FramedConn reader(peer);
+  std::optional<std::vector<std::uint8_t>> received;
+  int resumes = 0;
+  while (!received.has_value() && resumes < 100000) {
+    reader.receive();
+    received = reader.next();
+    ASSERT_TRUE(conn.flush());
+    ++resumes;
+  }
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(reader.frame_error(), FrameError::kNone);
+  EXPECT_EQ(*received, payload);
+  EXPECT_GT(resumes, 1);
+  EXPECT_EQ(conn.pending(), 0u);
+  EXPECT_EQ(conn.poll_events() & POLLOUT, 0);
+}
+
+TEST(FramedConn, PollinWithheldWhileOutboundIsOverTheCap) {
+  auto [conn, peer] = socket_pair();
+  EXPECT_EQ(conn.poll_events(), POLLIN);
+  conn.queue(std::vector<std::uint8_t>(kOutboundCapBytes + 1));
+  EXPECT_EQ(conn.poll_events(), POLLOUT);
+  // Once the peer takes any bytes the queue is back under the cap.
+  ASSERT_TRUE(conn.flush());
+  EXPECT_LE(conn.pending(), kOutboundCapBytes);
+  EXPECT_EQ(conn.poll_events(), POLLIN | POLLOUT);
+  conn.close_after_flush();
+  EXPECT_EQ(conn.poll_events(), POLLOUT);
+  ::close(peer);
+}
+
+TEST(FramedConn, FailedFlushDiscardsTheQueue) {
+  auto [conn, peer] = socket_pair();
+  ::close(peer);
+  conn.queue(encode_frame(bytes_of("to nobody")));
+  EXPECT_FALSE(conn.flush());
+  EXPECT_EQ(conn.os_error(), EPIPE);
+  EXPECT_EQ(conn.pending(), 0u);
+  EXPECT_FALSE(conn.write_blocking(encode_frame(bytes_of("still nobody"))));
+  EXPECT_EQ(conn.pending(), 0u);
 }
 
 }  // namespace

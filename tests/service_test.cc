@@ -1,15 +1,20 @@
 // Tests for the originscand scan-as-a-service daemon (src/service/):
 // the universe/session split's byte-identity guarantee under concurrent
 // tenants, admission control, fair-share scheduling, cancellation,
-// mid-request disconnects, SHUTDOWN drain, HELLO negotiation, and
-// malformed-frame rejection. All transports are socketpairs — no real
+// mid-request disconnects, SHUTDOWN drain, HELLO negotiation,
+// malformed-frame rejection, hang-up accounting, and the outbound cap on
+// a client that never reads. All transports are socketpairs — no real
 // network, no filesystem.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <condition_variable>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -17,6 +22,7 @@
 
 #include "core/experiment.h"
 #include "core/store.h"
+#include "netbase/framed_conn.h"
 #include "service/client.h"
 #include "service/loadgen.h"
 #include "service/service.h"
@@ -418,6 +424,98 @@ TEST(Service, ShutdownFromClientThatImmediatelyDisconnects) {
   }  // destructor closes the fd right behind the SHUTDOWN bytes
 
   serving.join();  // must return without any request_stop nudge
+  EXPECT_EQ(
+      daemon.service_metrics().counter(obsv::Counter::kServiceDisconnects),
+      1u);
+}
+
+// A client that writes HELLO and hangs up before the daemon reads: the
+// HELLO_ACK send fails with EPIPE and the same read pass sees the EOF.
+// One hang-up, counted once.
+TEST(Service, HangupBeforeFirstReadCountsOneDisconnect) {
+  std::vector<int> server_ends;
+  const int fd = client_end(server_ends);
+  service::ServiceWire hello;
+  hello.type = service::ServiceMsg::kHello;
+  const auto frame = service::encode_service_message(hello);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  ::close(fd);
+
+  service::Originscand daemon(tiny_config());
+  std::thread serving([&] { daemon.serve(-1, server_ends); });
+  daemon.request_stop();
+  serving.join();
+  const auto& metrics = daemon.service_metrics();
+  EXPECT_EQ(metrics.counter(obsv::Counter::kServiceConnections), 1u);
+  EXPECT_EQ(metrics.counter(obsv::Counter::kServiceDisconnects), 1u);
+}
+
+// A client that floods SUBMITs and never reads its answers: once the
+// undelivered answers pass the outbound cap the daemon stops reading that
+// connection, so the flood stalls after a bounded number of bytes and
+// every other connection is still served.
+TEST(Service, NonReadingFloodStallsAndOthersAreServed) {
+  std::vector<int> server_ends;
+  const int flood_fd = client_end(server_ends);
+  const int steady_fd = client_end(server_ends);
+  service::Originscand daemon(tiny_config());
+  std::thread serving([&] { daemon.serve(-1, server_ends); });
+
+  service::ServiceWire hello;
+  hello.type = service::ServiceMsg::kHello;
+  const auto hello_frame = service::encode_service_message(hello);
+  ASSERT_EQ(::send(flood_fd, hello_frame.data(), hello_frame.size(), 0),
+            static_cast<ssize_t>(hello_frame.size()));
+  // An out-of-range spec: every SUBMIT is answered at once with an ERROR
+  // BAD_SPEC longer than the SUBMIT itself, and no session ever runs.
+  service::ServiceWire submit;
+  submit.type = service::ServiceMsg::kSubmit;
+  submit.origin_code = "JP";
+  submit.trial = 0;
+  const auto submit_frame = service::encode_service_message(submit);
+  std::vector<std::uint8_t> batch;
+  for (int i = 0; i < 2048; ++i) {
+    batch.insert(batch.end(), submit_frame.begin(), submit_frame.end());
+  }
+  ASSERT_EQ(::fcntl(flood_fd, F_SETFL, O_NONBLOCK), 0);
+  // The batch repeats one frame, so resuming at `sent % frame size`
+  // continues the stream on a frame boundary.
+  const std::size_t limit = 4 * net::kOutboundCapBytes;
+  std::size_t sent = 0;
+  bool stalled = false;
+  while (sent < limit) {
+    const std::size_t off = sent % submit_frame.size();
+    const ssize_t n = ::send(flood_fd, batch.data() + off, batch.size() - off,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    pollfd pfd{flood_fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 1000) == 0) {
+      stalled = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(stalled) << "daemon kept reading a client that never reads";
+  // Each SUBMIT the daemon read earned a longer ERROR, so it read fewer
+  // SUBMIT bytes than the cap before it stopped; the socket buffers add
+  // well under a MiB.
+  EXPECT_LT(sent, net::kOutboundCapBytes);
+
+  service::ServiceClient steady(steady_fd);
+  ASSERT_TRUE(steady.hello()) << steady.error();
+  ASSERT_TRUE(steady.submit(1, 1, service::SessionSpec{}));
+  const auto answer = steady.wait_for(1);
+  ASSERT_TRUE(answer.has_value()) << steady.error();
+  EXPECT_EQ(answer->type, service::ServiceMsg::kResult);
+
+  ::close(flood_fd);  // the daemon drops its undelivered answers
+  daemon.request_stop();
+  serving.join();
   EXPECT_EQ(
       daemon.service_metrics().counter(obsv::Counter::kServiceDisconnects),
       1u);
