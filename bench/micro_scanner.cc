@@ -1,19 +1,25 @@
 // Microbenchmarks for the scanner's hot paths (google-benchmark):
 // address permutation, probe-MAC computation, packet serialization and
-// parsing, blocklist lookups, and the end-to-end probe exchange.
+// parsing, blocklist lookups, the end-to-end probe exchange, the L7
+// handshakes and the record sort that ends every scan.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <string>
 
 #include "netbase/headers.h"
 #include "netbase/rng.h"
 #include "netbase/siphash.h"
 #include "obsv/metrics.h"
 #include "scanner/blocklist.h"
+#include "scanner/orchestrator.h"
 #include "scanner/permutation.h"
 #include "scanner/validation.h"
+#include "scanner/zgrab.h"
 #include "scanner/zmap.h"
 #include "sim/internet.h"
 #include "sim/scenario.h"
@@ -410,4 +416,114 @@ static void BM_HandleProbeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HandleProbeBatch);
 
-BENCHMARK_MAIN();
+// The 2^15 paper world the L7 and finalize benches share.
+static const sim::World& paper_world_2_15() {
+  static const sim::World world = [] {
+    sim::ScenarioConfig config;
+    config.universe_size = 1u << 15;
+    return sim::build_world(config, sim::paper_origins(config.universe_size));
+  }();
+  return world;
+}
+
+static void zgrab_loop(benchmark::State& state, proto::Protocol protocol) {
+  // One ZGrabEngine::grab per iteration, round-robin over every host of
+  // the world that serves `protocol`: connect, the client flight, the
+  // server's reply and its classification, as the scan collector drives
+  // them. Policies, liveness and MaxStartups stay on, so the mix of
+  // completed, refused and silent grabs is the scan's own.
+  const sim::World& world = paper_world_2_15();
+  sim::PersistentState persistent;
+  sim::TrialContext context;
+  context.experiment_seed = world.seed;
+  context.simultaneous_origins = static_cast<int>(world.origins.size());
+  sim::Internet internet(&world, context, &persistent);
+  internet.prewarm(0, protocol);
+  std::vector<net::Ipv4Addr> targets;
+  for (const sim::Host& host : world.hosts.all()) {
+    if (host.runs(protocol)) targets.push_back(host.addr);
+  }
+  scan::ZGrabEngine engine({.protocol = protocol}, &internet, 0);
+  const net::Ipv4Addr source = world.origins[0].source_ips[0];
+  std::size_t next = 0;
+  std::int64_t completed = 0;
+  for (auto _ : state) {
+    const auto result = engine.grab(
+        source, targets[next],
+        net::VirtualTime::from_micros(static_cast<std::int64_t>(next) * 1000));
+    completed += result.outcome == sim::L7Outcome::kCompleted;
+    benchmark::DoNotOptimize(result);
+    if (++next == targets.size()) next = 0;
+  }
+  state.counters["completed_share"] = benchmark::Counter(
+      static_cast<double>(completed) /
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations())));
+}
+
+static void BM_ZGrabHttp(benchmark::State& state) {
+  zgrab_loop(state, proto::Protocol::kHttp);
+}
+BENCHMARK(BM_ZGrabHttp);
+
+static void BM_ZGrabTls(benchmark::State& state) {
+  zgrab_loop(state, proto::Protocol::kHttps);
+}
+BENCHMARK(BM_ZGrabTls);
+
+static void BM_ZGrabSsh(benchmark::State& state) {
+  zgrab_loop(state, proto::Protocol::kSsh);
+}
+BENCHMARK(BM_ZGrabSsh);
+
+static void BM_RecordFinalize(benchmark::State& state) {
+  // The address sort that ends every scan (scan::finalize) over one
+  // cell's records — a US1/HTTP scan of the 2^15 paper world — handed
+  // over in a fixed shuffled order, as the scan collector produces them
+  // in permutation order. The copy back to that order is untimed.
+  const sim::World& world = paper_world_2_15();
+  sim::PersistentState persistent;
+  sim::TrialContext context;
+  context.experiment_seed = world.seed;
+  sim::Internet internet(&world, context, &persistent);
+  scan::ScanResult cell = scan::run_scan(internet, 0, proto::Protocol::kHttp);
+  net::Rng rng(0xF1A1);
+  for (std::size_t i = cell.records.size(); i > 1; --i) {
+    std::swap(cell.records[i - 1], cell.records[rng.below(i)]);
+  }
+  scan::ScanResult work;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work.records = cell.records;
+    state.ResumeTiming();
+    scan::finalize(work, false);
+    benchmark::DoNotOptimize(work.records.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cell.records.size()));
+}
+BENCHMARK(BM_RecordFinalize);
+
+// The CPU model, stamped into the report's context so tools/bench_gate
+// can refuse to compare timings taken on different hardware.
+static std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("cpu_model", cpu_model());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -28,10 +28,15 @@
 #             exercise the framed transport (net::FramedConn) and the
 #             buffers a peer controls — netbase, fuzz, dist, service,
 #             chaos — under address sanitizer
+#   ubsan     ORIGINSCAN_SANITIZE=undefined build (aborting on the first
+#             report); runs the unit, property, fuzz, dist, service and
+#             chaos labels — the parsers, the batch kernels and the
+#             processes that exchange frames — under UB sanitizer
 #   coverage  -DOSN_COVERAGE=ON build, full suite, gcov aggregation
-#   all       unit + full + tsan + asan (default; coverage stays opt-in)
+#   all       unit + full + tsan + asan + ubsan (default; coverage stays
+#             opt-in)
 #
-# Usage: ./ci.sh [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]
+# Usage: ./ci.sh [unit|full|bench|chaos|service|docs|tsan|asan|ubsan|coverage|all]
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -93,7 +98,9 @@ run_bench() {
   # The committed baseline must cover the batched SoA pipeline
   # (DESIGN.md §13): a baseline recorded before those benches existed
   # would silently exempt the batch hot path from the regression gate.
-  for bench in BM_HandleProbeBatch BM_ResolveBatch BM_MixBatch4; do
+  # The L7 handshakes and the record sort are gated the same way.
+  for bench in BM_HandleProbeBatch BM_ResolveBatch BM_MixBatch4 \
+      BM_ZGrabHttp BM_ZGrabTls BM_ZGrabSsh BM_RecordFinalize; do
     if ! grep -q "\"$bench\"" BENCH_micro.json; then
       echo "ci.sh bench: $bench missing from BENCH_micro.json —" >&2
       echo "  re-record with bench/record.sh from a Release build" >&2
@@ -144,6 +151,12 @@ run_asan() {
       --output-on-failure)
 }
 
+run_ubsan() {
+  configure_and_build build-ubsan -DORIGINSCAN_SANITIZE=undefined
+  (cd build-ubsan &&
+    ctest -L 'unit|property|fuzz|dist|service|chaos' --output-on-failure)
+}
+
 run_coverage() {
   configure_and_build build-coverage -DOSN_COVERAGE=ON \
     -DCMAKE_BUILD_TYPE=Debug
@@ -160,15 +173,17 @@ case "$STAGE" in
   docs) run_docs ;;
   tsan) run_tsan ;;
   asan) run_asan ;;
+  ubsan) run_ubsan ;;
   coverage) run_coverage ;;
   all)
     run_unit
     run_full
     run_tsan
     run_asan
+    run_ubsan
     ;;
   *)
-    echo "usage: $0 [unit|full|bench|chaos|service|docs|tsan|asan|coverage|all]" >&2
+    echo "usage: $0 [unit|full|bench|chaos|service|docs|tsan|asan|ubsan|coverage|all]" >&2
     exit 2
     ;;
 esac

@@ -380,22 +380,27 @@ RunReport Experiment::run_journaled(
   const auto run_cell = [&](int trial, std::size_t p,
                             sim::OriginId origin) -> bool {
     const std::size_t slot = index(trial, p, origin);
-    if (adopted[slot] || lost_[slot]) return true;
+    if (adopted[slot]) return true;  // fixed before any lane starts
     const CellKey key = cell_key(trial, p, origin);
-    if (journal != nullptr && journal->storage_dead()) {
-      // Storage died earlier in this run. Scanning would only burn time
-      // on a result that cannot be persisted — fail the cell fast. No
-      // manifest line can be written, so a resume on a healthy disk
-      // simply re-runs it.
+    {
+      // Other lanes write lost_ and latch the journal's storage_dead
+      // under `mutex`, so both are read under it too.
       std::scoped_lock lock(mutex);
-      lost_[slot] = true;
-      lost_slots.push_back(slot);
-      if (progress) {
-        progress("trial " + std::to_string(trial + 1) + " " +
-                 std::string(proto::name_of(config_.protocols[p])) + " " +
-                 key.origin_code + ": LOST (journal storage dead)");
+      if (lost_[slot]) return true;
+      if (journal != nullptr && journal->storage_dead()) {
+        // Storage died earlier in this run. Scanning would only burn
+        // time on a result that cannot be persisted — fail the cell
+        // fast. No manifest line can be written, so a resume on a
+        // healthy disk simply re-runs it.
+        lost_[slot] = true;
+        lost_slots.push_back(slot);
+        if (progress) {
+          progress("trial " + std::to_string(trial + 1) + " " +
+                   std::string(proto::name_of(config_.protocols[p])) + " " +
+                   key.origin_code + ": LOST (journal storage dead)");
+        }
+        return true;
       }
-      return true;
     }
     const std::string track = key.origin_code + "/" +
                               std::string(proto::name_of(key.protocol)) +

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace originscan::net {
@@ -30,6 +32,18 @@ class ByteWriter {
   }
   void bytes(std::span<const std::uint8_t> data) {
     out_.insert(out_.end(), data.begin(), data.end());
+  }
+  // Appends text pieces back to back, growing the buffer once.
+  void text(std::initializer_list<std::string_view> pieces) {
+    std::size_t at = out_.size();
+    std::size_t total = 0;
+    for (std::string_view piece : pieces) total += piece.size();
+    out_.resize(at + total);
+    for (std::string_view piece : pieces) {
+      if (piece.empty()) continue;  // an empty view may hold a null data()
+      std::memcpy(out_.data() + at, piece.data(), piece.size());
+      at += piece.size();
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return out_.size(); }

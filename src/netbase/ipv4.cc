@@ -36,13 +36,17 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) {
 }
 
 std::string Ipv4Addr::to_string() const {
-  std::string out;
-  out.reserve(15);
+  char buffer[kMaxChars];
+  return std::string(buffer, to_chars(buffer));
+}
+
+std::size_t Ipv4Addr::to_chars(char* out) const {
+  char* cursor = out;
   for (int shift = 24; shift >= 0; shift -= 8) {
-    if (shift != 24) out.push_back('.');
-    out += std::to_string((value_ >> shift) & 0xFF);
+    if (shift != 24) *cursor++ = '.';
+    cursor = std::to_chars(cursor, cursor + 3, (value_ >> shift) & 0xFF).ptr;
   }
-  return out;
+  return static_cast<std::size_t>(cursor - out);
 }
 
 std::optional<Prefix> Prefix::parse(std::string_view text) {

@@ -29,6 +29,10 @@ class Ipv4Addr {
   static std::optional<Ipv4Addr> parse(std::string_view text);
 
   [[nodiscard]] std::string to_string() const;
+  // Writes the dotted quad to `out` (room for kMaxChars) without
+  // allocating; returns its length.
+  static constexpr std::size_t kMaxChars = 15;
+  std::size_t to_chars(char* out) const;
 
   // The /24 network containing this address (its "network unit" in the
   // paper's aggregation methodology).

@@ -1,6 +1,5 @@
 #include "proto/ssh.h"
 
-#include <algorithm>
 #include <charconv>
 
 #include "netbase/byteio.h"
@@ -8,17 +7,11 @@
 
 namespace originscan::proto {
 
-using net::ByteReader;
 using net::ByteWriter;
 
-std::string SshIdentification::serialize() const {
-  std::string out = "SSH-" + protocol_version + "-" + software_version;
-  if (!comment.empty()) {
-    out += ' ';
-    out += comment;
-  }
-  out += "\r\n";
-  return out;
+void SshIdentification::serialize_to(std::vector<std::uint8_t>& out) const {
+  ByteWriter(out).text({"SSH-", protocol_version, "-", software_version,
+                        comment.empty() ? "" : " ", comment, "\r\n"});
 }
 
 std::optional<SshIdentification> SshIdentification::parse(
@@ -35,18 +28,14 @@ std::optional<SshIdentification> SshIdentification::parse(
   if (dash == std::string_view::npos) return std::nullopt;
 
   SshIdentification id;
-  id.protocol_version = std::string(line.substr(0, dash));
+  id.protocol_version = line.substr(0, dash);
   if (id.protocol_version != "2.0" && id.protocol_version != "1.99") {
     return std::nullopt;
   }
   auto rest = line.substr(dash + 1);
   const auto space = rest.find(' ');
-  if (space == std::string_view::npos) {
-    id.software_version = std::string(rest);
-  } else {
-    id.software_version = std::string(rest.substr(0, space));
-    id.comment = std::string(rest.substr(space + 1));
-  }
+  id.software_version = rest.substr(0, space);
+  if (space != std::string_view::npos) id.comment = rest.substr(space + 1);
   if (id.software_version.empty()) return std::nullopt;
   return id;
 }
@@ -86,118 +75,47 @@ std::string MaxStartups::to_string() const {
          std::to_string(full);
 }
 
-std::vector<std::uint8_t> SshPacket::serialize(
-    std::uint64_t padding_seed) const {
-  // packet_length(4) + padding_length(1) + payload + padding; total must
-  // be a multiple of 8 and padding >= 4.
-  std::size_t padding = 8 - ((payload.size() + 5) % 8);
-  if (padding < 4) padding += 8;
-
-  std::vector<std::uint8_t> out;
-  out.reserve(5 + payload.size() + padding);
-  ByteWriter w(out);
-  w.u32(static_cast<std::uint32_t>(1 + payload.size() + padding));
-  w.u8(static_cast<std::uint8_t>(padding));
-  w.bytes(payload);
-  std::uint64_t state = padding_seed;
-  for (std::size_t i = 0; i < padding; ++i) {
-    w.u8(static_cast<std::uint8_t>(net::splitmix64(state)));
-  }
-  return out;
-}
-
-std::optional<SshPacket> SshPacket::parse(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  const std::uint32_t packet_length = r.u32();
-  const std::uint8_t padding_length = r.u8();
-  if (!r.ok() || packet_length < 1u + padding_length) return std::nullopt;
-  const std::uint32_t payload_length = packet_length - 1 - padding_length;
-  auto payload = r.bytes(payload_length);
-  r.skip(padding_length);
-  if (!r.ok() || r.remaining() != 0) return std::nullopt;
-  if ((4 + packet_length) % 8 != 0) return std::nullopt;
-  SshPacket packet;
-  packet.payload.assign(payload.begin(), payload.end());
-  return packet;
-}
-
 namespace {
 
-void write_name_list(ByteWriter& w, const std::vector<std::string>& names) {
-  std::string joined;
-  for (const auto& name : names) {
-    if (!joined.empty()) joined += ',';
-    joined += name;
-  }
+constexpr std::string_view kKexAlgorithms =
+    "curve25519-sha256,ecdh-sha2-nistp256,diffie-hellman-group14-sha256";
+constexpr std::string_view kHostKeyAlgorithms =
+    "ssh-ed25519,rsa-sha2-512,rsa-sha2-256";
+
+void write_name_list(ByteWriter& w, std::string_view joined) {
   w.u32(static_cast<std::uint32_t>(joined.size()));
   w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(joined.data()),
                     joined.size()));
 }
 
-std::optional<std::vector<std::string>> read_name_list(ByteReader& r) {
-  const std::uint32_t length = r.u32();
-  auto raw = r.bytes(length);
-  if (!r.ok()) return std::nullopt;
-  std::vector<std::string> out;
-  std::string current;
-  for (std::uint8_t byte : raw) {
-    if (byte == ',') {
-      out.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(static_cast<char>(byte));
-    }
-  }
-  if (!current.empty() || !raw.empty()) out.push_back(std::move(current));
-  return out;
-}
-
 }  // namespace
 
-std::vector<std::uint8_t> SshKexInit::serialize() const {
-  std::vector<std::uint8_t> out;
+void write_kexinit_packet(std::vector<std::uint8_t>& out,
+                          std::span<const std::uint8_t, 16> cookie,
+                          std::uint64_t padding_seed) {
+  constexpr std::size_t kPayload = 1 + 16 + 4 + kKexAlgorithms.size() + 4 +
+                                   kHostKeyAlgorithms.size() + 6 * 4 + 1 + 4;
+  // packet_length(4) + padding_length(1) + payload + padding; total must
+  // be a multiple of 8 and padding >= 4.
+  std::size_t padding = 8 - ((kPayload + 5) % 8);
+  if (padding < 4) padding += 8;
+
   ByteWriter w(out);
-  w.u8(kMessageNumber);
+  w.u32(static_cast<std::uint32_t>(1 + kPayload + padding));
+  w.u8(static_cast<std::uint8_t>(padding));
+  w.u8(20);  // SSH_MSG_KEXINIT
   w.bytes(cookie);
-  write_name_list(w, kex_algorithms);
-  write_name_list(w, host_key_algorithms);
+  write_name_list(w, kKexAlgorithms);
+  write_name_list(w, kHostKeyAlgorithms);
   // The six remaining name-lists (ciphers/MACs/compression/languages both
   // directions) are irrelevant to a banner grab; write them empty.
   for (int i = 0; i < 6; ++i) w.u32(0);
   w.u8(0);   // first_kex_packet_follows
   w.u32(0);  // reserved
-  return out;
-}
-
-std::optional<SshKexInit> SshKexInit::parse(
-    std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  if (r.u8() != kMessageNumber) return std::nullopt;
-  SshKexInit kex;
-  auto cookie = r.bytes(16);
-  if (!r.ok()) return std::nullopt;
-  std::copy(cookie.begin(), cookie.end(), kex.cookie.begin());
-  auto kex_algorithms = read_name_list(r);
-  auto host_keys = read_name_list(r);
-  if (!kex_algorithms || !host_keys) return std::nullopt;
-  kex.kex_algorithms = std::move(*kex_algorithms);
-  kex.host_key_algorithms = std::move(*host_keys);
-  for (int i = 0; i < 6; ++i) {
-    if (!read_name_list(r)) return std::nullopt;
+  std::uint64_t state = padding_seed;
+  for (std::size_t i = 0; i < padding; ++i) {
+    w.u8(static_cast<std::uint8_t>(net::splitmix64(state)));
   }
-  r.skip(1);
-  r.skip(4);
-  if (!r.ok()) return std::nullopt;
-  return kex;
-}
-
-std::vector<std::string> default_kex_algorithms() {
-  return {"curve25519-sha256", "ecdh-sha2-nistp256",
-          "diffie-hellman-group14-sha256"};
-}
-
-std::vector<std::string> default_host_key_algorithms() {
-  return {"ssh-ed25519", "rsa-sha2-512", "rsa-sha2-256"};
 }
 
 }  // namespace originscan::proto

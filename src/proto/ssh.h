@@ -1,12 +1,11 @@
 // SSH-2 transport-layer codec for the pieces a ZGrab SSH banner grab
 // touches: the identification string exchange (RFC 4253 §4.2) — the study
-// terminates after this — plus KEXINIT build/parse so the library can also
-// model clients that go one message further. Also models the
-// "ssh_exchange_identification: Connection closed by remote host" refusal
-// that OpenSSH's MaxStartups produces (Section 6 of the paper).
+// terminates after this — plus the KEXINIT packet real servers send right
+// after it. Also models the "ssh_exchange_identification: Connection
+// closed by remote host" refusal that OpenSSH's MaxStartups produces
+// (Section 6 of the paper).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -17,15 +16,16 @@
 namespace originscan::proto {
 
 struct SshIdentification {
-  std::string protocol_version = "2.0";
-  std::string software_version = "OpenSSH_7.4";
-  std::string comment;  // optional trailing comment
+  std::string_view protocol_version = "2.0";
+  std::string_view software_version = "OpenSSH_7.4";
+  std::string_view comment;  // optional trailing comment
 
-  // "SSH-2.0-OpenSSH_7.4[ comment]\r\n"
-  [[nodiscard]] std::string serialize() const;
+  // Appends "SSH-2.0-OpenSSH_7.4[ comment]\r\n".
+  void serialize_to(std::vector<std::uint8_t>& out) const;
+  // Views into `line`, which must outlive the result. One trailing CRLF
+  // or LF is ignored.
   static std::optional<SshIdentification> parse(std::string_view line);
 };
-
 // OpenSSH MaxStartups start:rate:full triple (sshd_config(5)): once
 // `start` unauthenticated connections are open, refuse new ones with
 // probability ramping linearly from rate% to 100% at `full`.
@@ -42,28 +42,12 @@ struct MaxStartups {
   [[nodiscard]] std::string to_string() const;
 };
 
-// SSH binary packet framing (RFC 4253 §6, unencrypted): carries KEXINIT.
-struct SshPacket {
-  std::vector<std::uint8_t> payload;
-
-  [[nodiscard]] std::vector<std::uint8_t> serialize(
-      std::uint64_t padding_seed) const;
-  static std::optional<SshPacket> parse(std::span<const std::uint8_t> data);
-};
-
-struct SshKexInit {
-  static constexpr std::uint8_t kMessageNumber = 20;
-
-  std::array<std::uint8_t, 16> cookie{};
-  std::vector<std::string> kex_algorithms;
-  std::vector<std::string> host_key_algorithms;
-
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;  // packet payload
-  static std::optional<SshKexInit> parse(std::span<const std::uint8_t> payload);
-};
-
-// Default algorithm lists resembling OpenSSH 7.x.
-std::vector<std::string> default_kex_algorithms();
-std::vector<std::string> default_host_key_algorithms();
+// Appends an unencrypted binary packet (RFC 4253 §6) carrying a KEXINIT
+// with `cookie` and OpenSSH 7.x-like kex and host-key algorithm lists
+// (the other six name-lists empty). Padding bytes come from
+// `padding_seed`.
+void write_kexinit_packet(std::vector<std::uint8_t>& out,
+                          std::span<const std::uint8_t, 16> cookie,
+                          std::uint64_t padding_seed);
 
 }  // namespace originscan::proto

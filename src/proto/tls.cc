@@ -1,8 +1,6 @@
 #include "proto/tls.h"
 
-#include <array>
-
-#include "netbase/byteio.h"
+#include <algorithm>
 
 namespace originscan::proto {
 
@@ -23,17 +21,6 @@ std::span<const std::uint16_t> chrome_cipher_suites() {
   return kSuites;
 }
 
-std::vector<std::uint8_t> TlsRecord::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(5 + fragment.size());
-  ByteWriter w(out);
-  w.u8(static_cast<std::uint8_t>(content_type));
-  w.u16(version);
-  w.u16(static_cast<std::uint16_t>(fragment.size()));
-  w.bytes(fragment);
-  return out;
-}
-
 std::optional<TlsRecord> TlsRecord::parse(std::span<const std::uint8_t> data,
                                           std::size_t& consumed) {
   if (data.size() < 5) return std::nullopt;
@@ -47,40 +34,20 @@ std::optional<TlsRecord> TlsRecord::parse(std::span<const std::uint8_t> data,
   record.content_type = static_cast<TlsContentType>(type);
   record.version = r.u16();
   const std::uint16_t length = r.u16();
-  auto fragment = r.bytes(length);
+  record.fragment = r.bytes(length);
   if (!r.ok()) return std::nullopt;
-  record.fragment.assign(fragment.begin(), fragment.end());
   consumed = 5 + static_cast<std::size_t>(length);
   return record;
 }
 
-std::vector<std::uint8_t> ClientHello::serialize() const {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.u16(version);
-  w.bytes(random);
-  w.u8(0);  // session id length
-  w.u16(static_cast<std::uint16_t>(cipher_suites.size() * 2));
-  for (std::uint16_t suite : cipher_suites) w.u16(suite);
-  w.u8(1);  // compression methods length
-  w.u8(0);  // null compression
-  // Extensions: only SNI when requested.
-  if (server_name.empty()) {
-    w.u16(0);
-  } else {
-    const auto name_length = static_cast<std::uint16_t>(server_name.size());
-    const std::uint16_t sni_list = name_length + 3;
-    const std::uint16_t sni_ext = sni_list + 2;
-    w.u16(sni_ext + 4);  // total extensions length
-    w.u16(0);            // extension type: server_name
-    w.u16(sni_ext);
-    w.u16(sni_list);
-    w.u8(0);  // name type: host_name
-    w.u16(name_length);
-    w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(server_name.data()),
-                      server_name.size()));
-  }
-  return out;
+void write_handshake_header(ByteWriter& w, TlsHandshakeType type,
+                            std::size_t body_length) {
+  w.u8(static_cast<std::uint8_t>(TlsContentType::kHandshake));
+  w.u16(0x0303);
+  w.u16(static_cast<std::uint16_t>(4 + body_length));
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(static_cast<std::uint8_t>(body_length >> 16));
+  w.u16(static_cast<std::uint16_t>(body_length));
 }
 
 std::optional<ClientHello> ClientHello::parse(
@@ -93,9 +60,7 @@ std::optional<ClientHello> ClientHello::parse(
   r.skip(session_id_length);
   const std::uint16_t suites_length = r.u16();
   if (suites_length % 2 != 0) return std::nullopt;
-  for (int i = 0; i < suites_length / 2; ++i) {
-    hello.cipher_suites.push_back(r.u16());
-  }
+  hello.cipher_suites = r.bytes(suites_length);
   const std::uint8_t compression_length = r.u8();
   r.skip(compression_length);
   if (!r.ok()) return std::nullopt;
@@ -116,7 +81,8 @@ std::optional<ClientHello> ClientHello::parse(
         const std::uint16_t name_length = sni.u16();
         auto name = sni.bytes(name_length);
         if (sni.ok()) {
-          hello.server_name.assign(name.begin(), name.end());
+          hello.server_name = std::string_view(
+              reinterpret_cast<const char*>(name.data()), name.size());
         }
       }
     }
@@ -124,16 +90,43 @@ std::optional<ClientHello> ClientHello::parse(
   return hello;
 }
 
-std::vector<std::uint8_t> ServerHello::serialize() const {
+std::vector<std::uint8_t> client_hello_record(
+    std::span<const std::uint16_t> suites, std::string_view server_name) {
+  const std::size_t name_length = server_name.size();
+  const std::size_t extensions = name_length == 0 ? 0 : 9 + name_length;
+  const std::size_t body_length = 2 + 32 + 1 + 2 + 2 * suites.size() + 2 +
+                                  2 + extensions;
   std::vector<std::uint8_t> out;
+  out.reserve(9 + body_length);
   ByteWriter w(out);
+  write_handshake_header(w, TlsHandshakeType::kClientHello, body_length);
+  w.u16(0x0303);
+  for (int i = 0; i < 32; ++i) w.u8(0);  // random
+  w.u8(0);                               // session id length
+  w.u16(static_cast<std::uint16_t>(suites.size() * 2));
+  for (std::uint16_t suite : suites) w.u16(suite);
+  w.u8(1);  // compression methods length
+  w.u8(0);  // null compression
+  w.u16(static_cast<std::uint16_t>(extensions));
+  if (extensions != 0) {
+    w.u16(0);  // extension type: server_name
+    w.u16(static_cast<std::uint16_t>(name_length + 5));
+    w.u16(static_cast<std::uint16_t>(name_length + 3));  // list length
+    w.u8(0);  // name type: host_name
+    w.u16(static_cast<std::uint16_t>(name_length));
+    w.bytes(std::span(reinterpret_cast<const std::uint8_t*>(server_name.data()),
+                      name_length));
+  }
+  return out;
+}
+
+void ServerHello::write(ByteWriter& w) const {
   w.u16(version);
   w.bytes(random);
   w.u8(0);  // session id length
   w.u16(cipher_suite);
-  w.u8(0);  // null compression
-  w.u16(0); // no extensions
-  return out;
+  w.u8(0);   // null compression
+  w.u16(0);  // no extensions
 }
 
 std::optional<ServerHello> ServerHello::parse(
@@ -151,22 +144,6 @@ std::optional<ServerHello> ServerHello::parse(
   return hello;
 }
 
-std::vector<std::uint8_t> Certificate::serialize() const {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  std::size_t total = 0;
-  for (const auto& der : chain) total += 3 + der.size();
-  // 24-bit chain length.
-  w.u8(static_cast<std::uint8_t>(total >> 16));
-  w.u16(static_cast<std::uint16_t>(total));
-  for (const auto& der : chain) {
-    w.u8(static_cast<std::uint8_t>(der.size() >> 16));
-    w.u16(static_cast<std::uint16_t>(der.size()));
-    w.bytes(der);
-  }
-  return out;
-}
-
 std::optional<Certificate> Certificate::parse(
     std::span<const std::uint8_t> body) {
   ByteReader r(body);
@@ -179,16 +156,20 @@ std::optional<Certificate> Certificate::parse(
     der_length |= r.u16();
     auto der = r.bytes(der_length);
     if (!r.ok()) return std::nullopt;
-    cert.chain.emplace_back(der.begin(), der.end());
+    if (cert.chain_size++ == 0) cert.leaf = der;
     remaining -= 3 + der_length;
   }
   if (!r.ok() || remaining != 0) return std::nullopt;
   return cert;
 }
 
-std::vector<std::uint8_t> TlsAlert::serialize() const {
-  return {static_cast<std::uint8_t>(fatal ? 2 : 1),
-          static_cast<std::uint8_t>(description)};
+void TlsAlert::write_record(std::vector<std::uint8_t>& out) const {
+  ByteWriter w(out);
+  w.u8(static_cast<std::uint8_t>(TlsContentType::kAlert));
+  w.u16(0x0303);
+  w.u16(2);
+  w.u8(fatal ? 2 : 1);
+  w.u8(static_cast<std::uint8_t>(description));
 }
 
 std::optional<TlsAlert> TlsAlert::parse(std::span<const std::uint8_t> body) {
@@ -198,36 +179,6 @@ std::optional<TlsAlert> TlsAlert::parse(std::span<const std::uint8_t> body) {
   alert.fatal = body[0] == 2;
   alert.description = static_cast<TlsAlertDescription>(body[1]);
   return alert;
-}
-
-std::vector<std::uint8_t> wrap_handshake(TlsHandshakeType type,
-                                         std::span<const std::uint8_t> body) {
-  TlsRecord record;
-  record.content_type = TlsContentType::kHandshake;
-  ByteWriter w(record.fragment);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(static_cast<std::uint8_t>(body.size() >> 16));
-  w.u16(static_cast<std::uint16_t>(body.size()));
-  w.bytes(body);
-  return record.serialize();
-}
-
-std::optional<std::vector<HandshakeMessage>> split_handshakes(
-    std::span<const std::uint8_t> fragment) {
-  std::vector<HandshakeMessage> out;
-  ByteReader r(fragment);
-  while (r.ok() && r.remaining() >= 4) {
-    HandshakeMessage msg;
-    msg.type = static_cast<TlsHandshakeType>(r.u8());
-    std::uint32_t length = std::uint32_t{r.u8()} << 16;
-    length |= r.u16();
-    auto body = r.bytes(length);
-    if (!r.ok()) return std::nullopt;
-    msg.body.assign(body.begin(), body.end());
-    out.push_back(std::move(msg));
-  }
-  if (!r.ok() || r.remaining() != 0) return std::nullopt;
-  return out;
 }
 
 }  // namespace originscan::proto

@@ -84,37 +84,6 @@ std::function<void(const L4Result&)> make_collector(
   };
 }
 
-// Sorts records (and any parallel banners) by address. The banner vector
-// must stay pair-aligned with the records — an empty banner vector means
-// "banners not kept", anything else must match exactly, or a merged
-// result would silently associate banners with the wrong hosts.
-void finalize(ScanResult& result, bool keep_banners) {
-  if (!result.banners.empty() &&
-      result.banners.size() != result.records.size()) {
-    throw std::logic_error(
-        "ScanResult banner/record misalignment: " +
-        std::to_string(result.banners.size()) + " banners vs " +
-        std::to_string(result.records.size()) + " records");
-  }
-  std::vector<std::size_t> order(result.records.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return result.records[a].addr < result.records[b].addr;
-  });
-  std::vector<ScanRecord> sorted_records;
-  sorted_records.reserve(result.records.size());
-  std::vector<std::string> sorted_banners;
-  sorted_banners.reserve(result.banners.size());
-  for (std::size_t i : order) {
-    sorted_records.push_back(result.records[i]);
-    if (keep_banners && !result.banners.empty()) {
-      sorted_banners.push_back(std::move(result.banners[i]));
-    }
-  }
-  result.records = std::move(sorted_records);
-  result.banners = std::move(sorted_banners);
-}
-
 // Emits the scan's virtual-clock phase spans. The shard-lane spans come
 // from a canonical 4-way slot partition built here, NOT from the lanes
 // that actually executed — the partition is a pure function of the
@@ -199,6 +168,33 @@ void emit_scan_trace(const ScanOptions& options, const ZMapConfig& zmap_config,
 }
 
 }  // namespace
+
+void finalize(ScanResult& result, bool keep_banners) {
+  if (!result.banners.empty() &&
+      result.banners.size() != result.records.size()) {
+    throw std::logic_error(
+        "ScanResult banner/record misalignment: " +
+        std::to_string(result.banners.size()) + " banners vs " +
+        std::to_string(result.records.size()) + " records");
+  }
+  std::vector<std::size_t> order(result.records.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return result.records[a].addr < result.records[b].addr;
+  });
+  std::vector<ScanRecord> sorted_records;
+  sorted_records.reserve(result.records.size());
+  std::vector<std::string> sorted_banners;
+  sorted_banners.reserve(result.banners.size());
+  for (std::size_t i : order) {
+    sorted_records.push_back(result.records[i]);
+    if (keep_banners && !result.banners.empty()) {
+      sorted_banners.push_back(std::move(result.banners[i]));
+    }
+  }
+  result.records = std::move(sorted_records);
+  result.banners = std::move(sorted_banners);
+}
 
 ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
                     proto::Protocol protocol, const ScanOptions& options) {

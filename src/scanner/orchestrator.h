@@ -114,6 +114,13 @@ struct ScanOptions {
   std::string trace_track = "scan";
 };
 
+// Sorts records (and any parallel banners) by address: the last step of
+// every scan. The banner vector must stay pair-aligned with the records
+// — an empty banner vector means "banners not kept", anything else must
+// match exactly (std::logic_error otherwise), or a merged result would
+// silently associate banners with the wrong hosts.
+void finalize(ScanResult& result, bool keep_banners);
+
 // Scans the Internet's whole universe from `origin`.
 ScanResult run_scan(sim::Internet& internet, sim::OriginId origin,
                     proto::Protocol protocol, const ScanOptions& options = {});

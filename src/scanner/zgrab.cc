@@ -1,6 +1,8 @@
 #include "scanner/zgrab.h"
 
-#include <cstdio>
+#include <array>
+#include <string_view>
+#include <vector>
 
 #include "proto/http.h"
 #include "proto/ssh.h"
@@ -9,26 +11,140 @@
 namespace originscan::scan {
 namespace {
 
-std::string bytes_to_string(const std::vector<std::uint8_t>& bytes) {
-  return {bytes.begin(), bytes.end()};
+std::string_view as_text(std::span<const std::uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-std::vector<std::uint8_t> string_to_bytes(const std::string& text) {
-  return {text.begin(), text.end()};
-}
-
-// Classifies a connection that produced no usable data.
-sim::L7Outcome silent_outcome(const sim::Connection& connection,
-                              bool got_any_bytes) {
-  if (connection.peer_reset()) return sim::L7Outcome::kResetAfterAccept;
-  if (connection.peer_closed()) {
-    return got_any_bytes ? sim::L7Outcome::kClosedMidHandshake
-                         : sim::L7Outcome::kClosedBeforeData;
+L7Result classify_http(std::span<const std::uint8_t> flight,
+                       bool peer_closed) {
+  L7Result result;
+  const auto response = proto::HttpResponse::parse(as_text(flight));
+  if (!response || !response->valid()) {
+    result.outcome = sim::L7Outcome::kProtocolError;
+    result.explicit_close = peer_closed;
+    return result;
   }
-  return sim::L7Outcome::kReadTimeout;
+  result.outcome = sim::L7Outcome::kCompleted;
+  result.banner = response->title;
+  return result;
+}
+
+L7Result classify_tls(std::span<const std::uint8_t> flight) {
+  // Walk the records in the server's flight; we need ServerHello,
+  // Certificate, and ServerHelloDone to declare the grab complete.
+  L7Result result;
+  bool saw_server_hello = false;
+  bool saw_certificate = false;
+  bool saw_done = false;
+  std::uint16_t suite = 0;
+  std::size_t offset = 0;
+  while (offset < flight.size()) {
+    std::size_t consumed = 0;
+    const auto record =
+        proto::TlsRecord::parse(flight.subspan(offset), consumed);
+    if (!record) break;
+    offset += consumed;
+    if (record->content_type == proto::TlsContentType::kAlert) {
+      result.outcome = sim::L7Outcome::kClosedMidHandshake;
+      result.explicit_close = true;
+      return result;
+    }
+    const bool framed = proto::for_each_handshake(
+        record->fragment, [&](const proto::HandshakeMessage& message) {
+          switch (message.type) {
+            case proto::TlsHandshakeType::kServerHello:
+              if (const auto hello = proto::ServerHello::parse(message.body)) {
+                saw_server_hello = true;
+                suite = hello->cipher_suite;
+              }
+              break;
+            case proto::TlsHandshakeType::kCertificate:
+              saw_certificate =
+                  proto::Certificate::parse(message.body).has_value();
+              break;
+            case proto::TlsHandshakeType::kServerHelloDone:
+              saw_done = true;
+              break;
+            default:
+              break;
+          }
+        });
+    if (!framed) break;
+  }
+  if (saw_server_hello && saw_certificate && saw_done) {
+    result.outcome = sim::L7Outcome::kCompleted;
+    // The negotiated suite as "0x%04X".
+    constexpr char kHex[] = "0123456789ABCDEF";
+    result.banner = {'0', 'x', kHex[suite >> 12], kHex[(suite >> 8) & 0xF],
+                     kHex[(suite >> 4) & 0xF], kHex[suite & 0xF]};
+    return result;
+  }
+  result.outcome = sim::L7Outcome::kProtocolError;
+  return result;
+}
+
+L7Result classify_ssh(std::span<const std::uint8_t> flight) {
+  L7Result result;
+  const std::string_view banner_line = as_text(flight);
+  if (banner_line.find('\n') == std::string_view::npos) {
+    // RFC 4253 identification is a line; a flight cut short of the
+    // newline means the banner never completed (any "SSH-2.0-..."
+    // prefix would otherwise parse as a bogus truncated version).
+    result.outcome = sim::L7Outcome::kProtocolError;
+    return result;
+  }
+  const auto server_id = proto::SshIdentification::parse(banner_line);
+  if (!server_id) {
+    result.outcome = sim::L7Outcome::kProtocolError;
+    return result;
+  }
+  result.outcome = sim::L7Outcome::kCompleted;
+  result.banner = server_id->software_version;
+  return result;
 }
 
 }  // namespace
+
+std::span<const std::uint8_t> client_flight(proto::Protocol protocol) {
+  static const std::array<std::vector<std::uint8_t>, 3> kFlights = [] {
+    std::array<std::vector<std::uint8_t>, 3> flights;
+    proto::HttpRequest{}.serialize_to(
+        flights[proto::index_of(proto::Protocol::kHttp)]);
+    flights[proto::index_of(proto::Protocol::kHttps)] =
+        proto::client_hello_record(proto::chrome_cipher_suites());
+    proto::SshIdentification{.software_version = "OpenSSH_7.9 originscan"}
+        .serialize_to(flights[proto::index_of(proto::Protocol::kSsh)]);
+    return flights;
+  }();
+  return kFlights[proto::index_of(protocol)];
+}
+
+L7Result classify_flight(proto::Protocol protocol,
+                         std::span<const std::uint8_t> flight,
+                         bool peer_closed, bool peer_reset) {
+  L7Result result;
+  if (peer_reset) {
+    result.outcome = sim::L7Outcome::kResetAfterAccept;
+    result.explicit_close = true;
+    return result;
+  }
+  if (flight.empty()) {
+    // Nothing usable arrived: the peer's FIN or our read timer ended it.
+    result.outcome = peer_closed ? sim::L7Outcome::kClosedBeforeData
+                                 : sim::L7Outcome::kReadTimeout;
+    result.explicit_close = peer_closed;
+    return result;
+  }
+  switch (protocol) {
+    case proto::Protocol::kHttp:
+      return classify_http(flight, peer_closed);
+    case proto::Protocol::kHttps:
+      return classify_tls(flight);
+    case proto::Protocol::kSsh:
+      return classify_ssh(flight);
+  }
+  return result;
+}
 
 bool is_retryable(sim::L7Outcome outcome) {
   switch (outcome) {
@@ -65,7 +181,8 @@ bool RetryPolicy::should_retry(sim::L7Outcome outcome) const {
 
 ZGrabEngine::ZGrabEngine(const ZGrabConfig& config, sim::Internet* internet,
                          sim::OriginId origin)
-    : config_(config), internet_(internet), origin_(origin) {}
+    : config_(config),
+      lane_(internet->probe_context(origin, config.protocol)) {}
 
 L7Result ZGrabEngine::grab(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
                            net::VirtualTime t) {
@@ -117,34 +234,34 @@ L7Result ZGrabEngine::attempt(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
     }
     return result;
   }
-  auto connection = internet_->connect(origin_, src_ip, dst,
-                                       config_.protocol, t, attempt_index);
-  if (connection == nullptr) {
+  if (!lane_.connect(src_ip, dst, t, attempt_index, connection_)) {
     result.outcome = sim::L7Outcome::kConnectTimeout;
     if (config_.metrics != nullptr) {
       config_.metrics->add(obsv::Counter::kZgrabConnectFailures);
     }
     return result;
   }
-  switch (config_.protocol) {
-    case proto::Protocol::kHttp:
-      return run_http(*connection);
-    case proto::Protocol::kHttps:
-      return run_tls(*connection);
-    case proto::Protocol::kSsh:
-      return run_ssh(*connection);
+  // HTTP and TLS clients speak first; an SSH server sends its banner
+  // first and our identification answers it. The study's partial
+  // handshakes end there (Section 2).
+  const bool server_first = config_.protocol == proto::Protocol::kSsh;
+  if (!server_first) connection_.send(client_flight(config_.protocol));
+  result = classify_flight(config_.protocol, read_bytes(),
+                           connection_.peer_closed(), connection_.peer_reset());
+  if (server_first && result.outcome == sim::L7Outcome::kCompleted) {
+    connection_.send(client_flight(config_.protocol));
   }
   return result;
 }
 
-std::vector<std::uint8_t> ZGrabEngine::read_bytes(sim::Connection& connection) {
-  auto bytes = connection.read();
+std::span<const std::uint8_t> ZGrabEngine::read_bytes() {
+  auto bytes = connection_.read();
   if (config_.faults == nullptr || bytes.empty()) return bytes;
   switch (config_.faults->l7_fault(current_dst_, current_attempt_)) {
     case fault::FaultInjector::L7Fault::kStall:
       // The server's flight never arrives; the read timer is our only
       // way out.
-      bytes.clear();
+      bytes = {};
       if (config_.metrics != nullptr) {
         config_.metrics->add(obsv::Counter::kFaultBannerStall);
       }
@@ -152,7 +269,7 @@ std::vector<std::uint8_t> ZGrabEngine::read_bytes(sim::Connection& connection) {
     case fault::FaultInjector::L7Fault::kTruncate:
       // Connection damaged mid-flight: only a prefix of the banner gets
       // through, which the protocol parsers must reject (not crash on).
-      bytes.resize(bytes.size() / 2);
+      bytes = bytes.first(bytes.size() / 2);
       if (config_.metrics != nullptr) {
         config_.metrics->add(obsv::Counter::kFaultBannerTrunc);
       }
@@ -162,146 +279,6 @@ std::vector<std::uint8_t> ZGrabEngine::read_bytes(sim::Connection& connection) {
       break;
   }
   return bytes;
-}
-
-L7Result ZGrabEngine::run_http(sim::Connection& connection) {
-  L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
-
-  proto::HttpRequest request;
-  connection.send(string_to_bytes(request.serialize()));
-  const auto bytes = read_bytes(connection);
-  if (bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
-  auto response = proto::HttpResponse::parse(bytes_to_string(bytes));
-  if (!response || !response->valid()) {
-    result.outcome = sim::L7Outcome::kProtocolError;
-    result.explicit_close = connection.peer_closed();
-    return result;
-  }
-  result.outcome = sim::L7Outcome::kCompleted;
-  result.banner = response->title;
-  return result;
-}
-
-L7Result ZGrabEngine::run_tls(sim::Connection& connection) {
-  L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
-
-  proto::ClientHello hello;
-  hello.cipher_suites.assign(proto::chrome_cipher_suites().begin(),
-                             proto::chrome_cipher_suites().end());
-  connection.send(proto::wrap_handshake(proto::TlsHandshakeType::kClientHello,
-                                        hello.serialize()));
-  const auto bytes = read_bytes(connection);
-  if (bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
-
-  // Walk the records in the server's flight; we need ServerHello,
-  // Certificate, and ServerHelloDone to declare the grab complete.
-  bool saw_server_hello = false;
-  bool saw_certificate = false;
-  bool saw_done = false;
-  std::uint16_t suite = 0;
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    std::size_t consumed = 0;
-    auto record = proto::TlsRecord::parse(
-        std::span(bytes).subspan(offset), consumed);
-    if (!record) break;
-    offset += consumed;
-    if (record->content_type == proto::TlsContentType::kAlert) {
-      result.outcome = sim::L7Outcome::kClosedMidHandshake;
-      result.explicit_close = true;
-      return result;
-    }
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages) break;
-    for (const auto& message : *messages) {
-      switch (message.type) {
-        case proto::TlsHandshakeType::kServerHello: {
-          auto server_hello = proto::ServerHello::parse(message.body);
-          if (server_hello) {
-            saw_server_hello = true;
-            suite = server_hello->cipher_suite;
-          }
-          break;
-        }
-        case proto::TlsHandshakeType::kCertificate:
-          saw_certificate = proto::Certificate::parse(message.body).has_value();
-          break;
-        case proto::TlsHandshakeType::kServerHelloDone:
-          saw_done = true;
-          break;
-        case proto::TlsHandshakeType::kClientHello:
-          break;
-      }
-    }
-  }
-  if (saw_server_hello && saw_certificate && saw_done) {
-    result.outcome = sim::L7Outcome::kCompleted;
-    char buffer[8];
-    std::snprintf(buffer, sizeof(buffer), "0x%04X", suite);
-    result.banner = buffer;
-    return result;
-  }
-  result.outcome = sim::L7Outcome::kProtocolError;
-  return result;
-}
-
-L7Result ZGrabEngine::run_ssh(sim::Connection& connection) {
-  L7Result result;
-  if (connection.peer_reset()) {
-    result.outcome = sim::L7Outcome::kResetAfterAccept;
-    result.explicit_close = true;
-    return result;
-  }
-
-  // The server speaks first; its identification string should already be
-  // waiting.
-  const auto banner_bytes = read_bytes(connection);
-  if (banner_bytes.empty()) {
-    result.outcome = silent_outcome(connection, false);
-    result.explicit_close = connection.peer_reset() || connection.peer_closed();
-    return result;
-  }
-  const std::string banner_line = bytes_to_string(banner_bytes);
-  if (banner_line.find('\n') == std::string::npos) {
-    // RFC 4253 identification is a line; a flight cut short of the
-    // newline means the banner never completed (any "SSH-2.0-..."
-    // prefix would otherwise parse as a bogus truncated version).
-    result.outcome = sim::L7Outcome::kProtocolError;
-    return result;
-  }
-  auto server_id = proto::SshIdentification::parse(banner_line);
-  if (!server_id) {
-    result.outcome = sim::L7Outcome::kProtocolError;
-    return result;
-  }
-
-  // Send our identification; the study's partial handshake terminates
-  // after the version exchange (Section 2).
-  proto::SshIdentification client_id;
-  client_id.software_version = "OpenSSH_7.9 originscan";
-  connection.send(string_to_bytes(client_id.serialize()));
-
-  result.outcome = sim::L7Outcome::kCompleted;
-  result.banner = server_id->software_version;
-  return result;
 }
 
 }  // namespace originscan::scan

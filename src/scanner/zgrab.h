@@ -5,8 +5,9 @@
 // MaxStartups-refused hosts).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "faultinject/faultinject.h"
 #include "netbase/ipv4.h"
@@ -83,19 +84,32 @@ class ZGrabEngine {
   // fault for the current (dst, attempt) context: a stall swallows the
   // bytes (read timeout); a truncation keeps only a prefix, which the
   // protocol parsers then reject.
-  std::vector<std::uint8_t> read_bytes(sim::Connection& connection);
-
-  L7Result run_http(sim::Connection& connection);
-  L7Result run_tls(sim::Connection& connection);
-  L7Result run_ssh(sim::Connection& connection);
+  std::span<const std::uint8_t> read_bytes();
 
   ZGrabConfig config_;
-  sim::Internet* internet_;
-  sim::OriginId origin_;
+  // The lock-free lane view of (origin, protocol) every connect goes
+  // through.
+  sim::ProbeContext lane_;
+  // One connection, reset by every connect: its buffers keep their
+  // capacity from target to target.
+  sim::Connection connection_;
   // Context of the attempt in flight, consulted by the fault hooks.
   net::Ipv4Addr current_dst_;
   int current_attempt_ = 0;
 };
+
+// The bytes the client sends for `protocol`: the GET request and the
+// ClientHello record open their handshakes; the SSH identification
+// answers the server's banner. Serialized once per process.
+std::span<const std::uint8_t> client_flight(proto::Protocol protocol);
+
+// Classifies one handshake attempt from the server's flight as the client
+// read it (after any injected banner fault) and from how the peer had
+// ended the connection by then. A pure function of its inputs; `attempts`
+// is left 0 for grab() to fill in.
+L7Result classify_flight(proto::Protocol protocol,
+                         std::span<const std::uint8_t> flight,
+                         bool peer_closed, bool peer_reset);
 
 // Whether a failed attempt is worth retrying under the base policy (the
 // connection was refused or reset, as opposed to e.g. a protocol

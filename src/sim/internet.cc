@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <utility>
+#include <variant>
 
 #include "netbase/rng.h"
 
@@ -141,22 +142,49 @@ bool fwd_draws_vectorized(const net::Ipv4Addr* addr, const AsId* as,
 
 }  // namespace detail
 
-std::vector<std::uint8_t> Connection::read() {
-  return std::exchange(pending_, {});
+void Connection::clear() {
+  server_ = NoServer{};
+  in_.clear();
+  out_.clear();
+  out_drained_ = false;
+  peer_closed_ = false;
+  peer_reset_ = false;
+  hung_ = false;
+}
+
+void Connection::open(Server server) {
+  clear();
+  server_ = server;
+  hung_ = std::holds_alternative<NoServer>(server_);
+  std::visit([this](auto& peer) { peer_closed_ = peer.on_open(); }, server_);
+}
+
+std::vector<std::uint8_t>& Connection::unread() {
+  if (out_drained_) {
+    out_.clear();
+    out_drained_ = false;
+  }
+  return out_;
+}
+
+std::span<const std::uint8_t> Connection::read() {
+  std::vector<std::uint8_t>& out = unread();
+  std::visit([&out](auto& peer) { peer.write_reply(out); }, server_);
+  out_drained_ = true;
+  return out_;
 }
 
 void Connection::send(std::span<const std::uint8_t> data) {
-  if (peer_closed_ || peer_reset_ || hung_ || server_ == nullptr) return;
-  ServerAction action = server_->on_bytes(data);
-  if (pending_.empty()) {
-    // The common case — the client drained before writing — adopts the
-    // server's buffer instead of copying it.
-    pending_ = std::move(action.bytes);
-  } else {
-    pending_.insert(pending_.end(), action.bytes.begin(), action.bytes.end());
-  }
-  if (action.reset) peer_reset_ = true;
-  if (action.close) peer_closed_ = true;
+  if (peer_closed_ || peer_reset_ || hung_) return;
+  std::visit(
+      [&](auto& peer) {
+        // A reply the client has not read yet was sent before anything
+        // these bytes provoke.
+        peer.write_reply(unread());
+        in_.insert(in_.end(), data.begin(), data.end());
+        peer_closed_ = peer.on_bytes(in_);
+      },
+      server_);
 }
 
 Internet::Internet(const World* world, const TrialContext& context,
@@ -714,91 +742,87 @@ bool Internet::maxstartups_refuses(const Host& host, OriginId origin,
   return rng.bernoulli(refuse);
 }
 
-std::unique_ptr<Connection> Internet::connect(OriginId origin,
-                                              net::Ipv4Addr src_ip,
-                                              net::Ipv4Addr dst,
-                                              proto::Protocol protocol,
-                                              net::VirtualTime t,
-                                              int attempt) {
-  const auto as = world_->as_of(dst);
-  if (!as) return nullptr;
+bool Internet::connect(OriginId origin, net::Ipv4Addr src_ip,
+                       net::Ipv4Addr dst, proto::Protocol protocol,
+                       net::VirtualTime t, int attempt,
+                       Connection& connection) {
+  return probe_context(origin, protocol)
+      .connect(src_ip, dst, t, attempt, connection);
+}
 
-  if (faults_ != nullptr && faults_->outage_at(t, static_cast<int>(origin))) {
-    return nullptr;
+bool ProbeContext::connect(net::Ipv4Addr src_ip, net::Ipv4Addr dst,
+                           net::VirtualTime t, int attempt,
+                           Connection& connection) {
+  const World& world = *internet_->world_;
+  const TrialContext& trial = internet_->context_;
+  connection.clear();
+  const auto as = world.as_of(dst);
+  if (!as) return false;
+
+  const fault::FaultInjector* faults = internet_->faults_;
+  if (faults != nullptr && faults->outage_at(t, static_cast<int>(origin_))) {
+    return false;
   }
 
-  if (outage_schedule(origin, protocol).in_outage(*as, t)) return nullptr;
+  if (outage_->in_outage(*as, t)) return false;
 
-  const PathLossModel& loss = loss_model(origin, *as, protocol);
-  const double p_fail = connect_failure_probability(loss.loss_probability(t));
+  const double p_fail =
+      connect_failure_probability(loss(*as).loss_probability(t));
   if (p_fail > 0.0 &&
-      hash01(net::mix_u64(world_->seed ^ origin, dst.value(), attempt, 0xC0DEu)) <
+      hash01(net::mix_u64(world.seed ^ origin_, dst.value(), attempt, 0xC0DEu)) <
           p_fail) {
-    return nullptr;
+    return false;
   }
 
-  const std::optional<Host> host = world_->host_at(dst);
+  const std::optional<Host> host = world.host_at(dst);
   if (!host ||
-      !HostTable::live_in_trial(*host, context_.trial,
-                                context_.experiment_seed)) {
-    return nullptr;
+      !HostTable::live_in_trial(*host, trial.trial, trial.experiment_seed)) {
+    return false;
   }
-  if (host->flaky && flaky_miss(*host, origin)) return nullptr;
+  if (host->flaky && internet_->flaky_miss(*host, origin_)) return false;
 
   // L4 policies also gate the connect's SYN.
-  if (policy_engine_.on_probe(origin, src_ip, *as, dst, protocol, t) ==
+  PolicyEngine& policy = internet_->policy_engine_;
+  const AsPolicies* policies = policies_by_as_[*as];
+  if (policy.on_probe(policies, origin_, src_ip, *as, dst, protocol_, t) ==
       PolicyEngine::L4Decision::kDrop) {
-    return nullptr;
+    return false;
   }
 
-  auto connection = std::unique_ptr<Connection>(new Connection());
-
-  switch (policy_engine_.on_connection(origin, src_ip, *as, dst, protocol,
-                                       t)) {
+  switch (policy.on_connection(policies, origin_, *as, dst, protocol_, t)) {
     case PolicyEngine::L7Decision::kRstAfterAccept:
-      connection->peer_reset_ = true;
-      return connection;
+      connection.peer_reset_ = true;
+      return true;
     case PolicyEngine::L7Decision::kDrop:
-      connection->hung_ = true;
-      return connection;
-    case PolicyEngine::L7Decision::kServeBlockPage: {
-      ServerOptions options;
-      options.forced_page_title = "Blocked Site";
-      connection->server_ = make_server(*host, protocol, options);
-      if (connection->server_ == nullptr) connection->hung_ = true;
-      return connection;
-    }
+      connection.hung_ = true;
+      return true;
+    case PolicyEngine::L7Decision::kServeBlockPage:  // HTTP only
+      connection.open(make_server(*host, protocol_,
+                                  {.forced_page_title = "Blocked Site"}));
+      return true;
     case PolicyEngine::L7Decision::kAllow:
       break;
   }
 
-  if (host->middlebox && !host->runs(protocol)) {
-    connection->hung_ = true;  // DDoS frontend: accepts, says nothing
-    return connection;
+  if (host->middlebox && !host->runs(protocol_)) {
+    connection.hung_ = true;  // DDoS frontend: accepts, says nothing
+    return true;
   }
 
-  if (protocol == proto::Protocol::kSsh && host->maxstartups_enabled &&
-      maxstartups_refuses(*host, origin, attempt)) {
+  if (protocol_ == proto::Protocol::kSsh && host->maxstartups_enabled &&
+      internet_->maxstartups_refuses(*host, origin_, attempt)) {
     // sshd drops the connection before the identification string; some
     // hosts RST instead of FIN (stable per host).
     if (net::mix_u64(host->seed, 0xF17u) % 4 == 0) {
-      connection->peer_reset_ = true;
+      connection.peer_reset_ = true;
     } else {
-      connection->peer_closed_ = true;
+      connection.peer_closed_ = true;
     }
-    return connection;
+    return true;
   }
 
-  connection->server_ = make_server(*host, protocol);
-  if (connection->server_ == nullptr) {
-    connection->hung_ = true;
-    return connection;
-  }
-  ServerAction action = connection->server_->on_open();
-  connection->pending_ = std::move(action.bytes);
-  if (action.close) connection->peer_closed_ = true;
-  if (action.reset) connection->peer_reset_ = true;
-  return connection;
+  connection.open(make_server(*host, protocol_));
+  return true;
 }
 
 }  // namespace originscan::sim

@@ -39,12 +39,21 @@ struct TrialContext {
   net::VirtualTime scan_duration = net::VirtualTime::from_hours(21);
 };
 
+class ProbeContext;
+
 // One established TCP connection from a scanner to a host. The ZGrab
 // engine reads/writes bytes; the connection reports how the peer ended it.
+// A Connection is meant to be reused: connect and open() reset it for the
+// next target but keep its buffers' capacity.
 class Connection {
  public:
-  // Drains bytes the server has sent since the last read.
-  std::vector<std::uint8_t> read();
+  // Connects straight to `server`, bypassing the network (how tests
+  // drive a server). With NoServer the connection is hung.
+  void open(Server server);
+
+  // Drains bytes the server has sent since the last read. The view stays
+  // valid until the next call on this connection.
+  std::span<const std::uint8_t> read();
 
   // Feeds client bytes to the server. No-op once the peer closed/reset.
   void send(std::span<const std::uint8_t> data);
@@ -58,11 +67,18 @@ class Connection {
   [[nodiscard]] bool hung() const { return hung_; }
 
  private:
-  friend class Internet;
-  Connection() = default;
+  friend class ProbeContext;
 
-  std::unique_ptr<ProtocolServer> server_;
-  std::vector<std::uint8_t> pending_;
+  // Back to a fresh, serverless connection.
+  void clear();
+  // The unread server bytes, after dropping those read() already handed
+  // out.
+  std::vector<std::uint8_t>& unread();
+
+  Server server_;
+  std::vector<std::uint8_t> in_;   // client bytes the server has not consumed
+  std::vector<std::uint8_t> out_;  // server bytes written for the client
+  bool out_drained_ = false;       // read() has handed out out_
   bool peer_closed_ = false;
   bool peer_reset_ = false;
   bool hung_ = false;
@@ -174,6 +190,15 @@ class ProbeContext {
   // not per-address lookups (docs/METRICS.md).
   void resolve_batch(ProbeBatch& batch) const;
 
+  // Attempts a TCP connection for this context's (origin, protocol)
+  // application handshake, set up in the caller's `connection` (reset
+  // first either way). Returns false when the connect times out
+  // (loss/outage or vanished host). `attempt` is the retry index (0 =
+  // first try) — retries see lower MaxStartups concurrency. Reads the
+  // lane's flat per-AS view: no cache lock, no policy-map lookup.
+  bool connect(net::Ipv4Addr src_ip, net::Ipv4Addr dst, net::VirtualTime t,
+               int attempt, Connection& connection);
+
   // Struct-level probe exchange against the pre-resolved target: the
   // same decisions as Internet::handle_probe, minus the wire
   // encode/decode and the cache locks. `syn` must be addressed to this
@@ -277,14 +302,11 @@ class Internet {
                                               OriginId origin) const;
 
   // ---- Layer 7 -----------------------------------------------------
-  // Attempts a TCP connection for an application handshake. Returns
-  // nullptr when the connect times out (loss/outage or vanished host).
-  // `attempt` is the retry index (0 = first try) — retries see lower
-  // MaxStartups concurrency.
-  std::unique_ptr<Connection> connect(OriginId origin, net::Ipv4Addr src_ip,
-                                      net::Ipv4Addr dst,
-                                      proto::Protocol protocol,
-                                      net::VirtualTime t, int attempt);
+  // ProbeContext::connect through a fresh lane view: one-off connects
+  // (tests); a scan lane keeps its own ProbeContext instead.
+  bool connect(OriginId origin, net::Ipv4Addr src_ip, net::Ipv4Addr dst,
+               proto::Protocol protocol, net::VirtualTime t, int attempt,
+               Connection& connection);
 
   [[nodiscard]] const World& world() const { return *world_; }
   [[nodiscard]] const TrialContext& context() const { return context_; }

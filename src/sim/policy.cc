@@ -111,10 +111,8 @@ PolicyEngine::L4Decision PolicyEngine::on_probe(const AsPolicies* policies,
 }
 
 PolicyEngine::L7Decision PolicyEngine::on_connection(
-    OriginId origin, net::Ipv4Addr src_ip, AsId as, net::Ipv4Addr dst,
+    const AsPolicies* policies, OriginId origin, AsId as, net::Ipv4Addr dst,
     proto::Protocol protocol, net::VirtualTime t) const {
-  (void)src_ip;
-  const AsPolicies* policies = config_->find(as);
   if (policies == nullptr) return L7Decision::kAllow;
 
   for (std::size_t i = 0; i < policies->blocks.size(); ++i) {
@@ -139,7 +137,7 @@ PolicyEngine::L7Decision PolicyEngine::on_connection(
   }
 
   // Temporal RST (Alibaba archetype): active once detection has fired.
-  if (auto detect = temporal_rst_time(as, origin, protocol);
+  if (auto detect = temporal_rst_time(policies, as, origin, protocol);
       detect && t >= *detect) {
     return L7Decision::kRstAfterAccept;
   }
@@ -148,8 +146,8 @@ PolicyEngine::L7Decision PolicyEngine::on_connection(
 }
 
 std::optional<net::VirtualTime> PolicyEngine::temporal_rst_time(
-    AsId as, OriginId origin, proto::Protocol protocol) const {
-  const AsPolicies* policies = config_->find(as);
+    const AsPolicies* policies, AsId as, OriginId origin,
+    proto::Protocol protocol) const {
   if (policies == nullptr || !policies->temporal_rst) return std::nullopt;
   const TemporalRstRule& rule = *policies->temporal_rst;
   if (rule.protocol != protocol) return std::nullopt;

@@ -156,14 +156,17 @@ class PolicyEngine {
     kRstAfterAccept,  // immediate RST
     kServeBlockPage,
   };
-  L7Decision on_connection(OriginId origin, net::Ipv4Addr src_ip, AsId as,
-                           net::Ipv4Addr dst, proto::Protocol protocol,
-                           net::VirtualTime t) const;
+  // `policies` must be config->find(as) or nullptr, as for on_probe.
+  L7Decision on_connection(const AsPolicies* policies, OriginId origin,
+                           AsId as, net::Ipv4Addr dst,
+                           proto::Protocol protocol, net::VirtualTime t) const;
 
   // Alibaba-style detection time for (as, origin) in this trial, if the
-  // AS has a TemporalRstRule that applies to the origin.
+  // AS's `policies` (config->find(as) or nullptr) hold a TemporalRstRule
+  // that applies to the origin.
   [[nodiscard]] std::optional<net::VirtualTime> temporal_rst_time(
-      AsId as, OriginId origin, proto::Protocol protocol) const;
+      const AsPolicies* policies, AsId as, OriginId origin,
+      proto::Protocol protocol) const;
 
   // Whether probes to `as` feed a rate-IDS counter for this protocol —
   // i.e. whether on_probe touches order-sensitive shared state. The

@@ -1,237 +1,208 @@
 #include "sim/server.h"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
+#include <utility>
 
+#include "netbase/byteio.h"
 #include "netbase/rng.h"
 #include "proto/http.h"
 #include "proto/ssh.h"
-#include "proto/tls.h"
 
 namespace originscan::sim {
-namespace {
-
-std::vector<std::uint8_t> to_bytes(const std::string& text) {
-  return {text.begin(), text.end()};
-}
 
 // ---------------------------------------------------------------- HTTP --
 
-class HttpServer final : public ProtocolServer {
- public:
-  HttpServer(const Host& host, std::string forced_title)
-      : host_(host), forced_title_(std::move(forced_title)) {}
+bool HttpServer::on_bytes(std::vector<std::uint8_t>& in) {
+  const std::string_view request(reinterpret_cast<const char*>(in.data()),
+                                 in.size());
+  if (request.find("\r\n\r\n") == std::string_view::npos) return false;
+  reply_ = proto::HttpRequest::parse(request) ? Reply::kPage
+                                              : Reply::kBadRequest;
+  return true;  // Connection: close
+}
 
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-    if (buffer_.find("\r\n\r\n") == std::string::npos) return {};
-
-    auto request = proto::HttpRequest::parse(buffer_);
-    ServerAction action;
-    action.close = true;
-    if (!request) {
-      proto::HttpResponse bad;
-      bad.status_code = 400;
-      bad.reason = "Bad Request";
-      action.bytes = to_bytes(bad.serialize());
-      return action;
-    }
-    proto::HttpResponse response;
-    response.server = http_server_software(host_.seed);
-    response.title = forced_title_.empty()
-                         ? "host-" + host_.addr.to_string()
-                         : forced_title_;
-    // A small share of real servers answer GET / with a redirect or an
-    // error page; either still counts as a completed L7 handshake.
-    const std::uint64_t h = net::mix_u64(host_.seed, 0x477Eu);
-    if (h % 100 < 8) {
-      response.status_code = 301;
-      response.reason = "Moved Permanently";
-      response.extra_headers["location"] = "https://" +
-                                           host_.addr.to_string() + "/";
-    } else if (h % 100 < 12) {
-      response.status_code = 403;
-      response.reason = "Forbidden";
-    }
-    action.bytes = to_bytes(response.serialize());
-    return action;
+void HttpServer::write_reply(std::vector<std::uint8_t>& out) {
+  const Reply reply = std::exchange(reply_, Reply::kNone);
+  if (reply == Reply::kNone) return;
+  proto::HttpResponse response;
+  if (reply == Reply::kBadRequest) {
+    response.status_code = 400;
+    response.reason = "Bad Request";
+    response.serialize_to(out);
+    return;
   }
+  char addr[net::Ipv4Addr::kMaxChars];
+  const std::string_view dotted(addr, addr_.to_chars(addr));
+  char title[5 + net::Ipv4Addr::kMaxChars] = "host-";
+  std::memcpy(title + 5, dotted.data(), dotted.size());
+  char location[8 + net::Ipv4Addr::kMaxChars + 1] = "https://";
+  std::memcpy(location + 8, dotted.data(), dotted.size());
+  location[8 + dotted.size()] = '/';
 
- private:
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::string forced_title_;
-  std::string buffer_;
-};
+  response.server = http_server_software(seed_);
+  response.title = forced_title_.empty()
+                       ? std::string_view(title, 5 + dotted.size())
+                       : forced_title_;
+  // A small share of real servers answer GET / with a redirect or an
+  // error page; either still counts as a completed L7 handshake.
+  const std::uint64_t h = net::mix_u64(seed_, 0x477Eu);
+  if (h % 100 < 8) {
+    response.status_code = 301;
+    response.reason = "Moved Permanently";
+    response.location = std::string_view(location, 8 + dotted.size() + 1);
+  } else if (h % 100 < 12) {
+    response.status_code = 403;
+    response.reason = "Forbidden";
+  }
+  response.serialize_to(out);
+}
 
 // ----------------------------------------------------------------- TLS --
 
-class TlsServer final : public ProtocolServer {
- public:
-  explicit TlsServer(const Host& host) : host_(host) {}
+bool TlsServer::on_bytes(std::vector<std::uint8_t>& in) {
+  std::size_t consumed = 0;
+  const auto record = proto::TlsRecord::parse(in, consumed);
+  if (!record) return false;  // need more bytes
 
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
-    std::size_t consumed = 0;
-    auto record = proto::TlsRecord::parse(buffer_, consumed);
-    if (!record) return {};  // need more bytes
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-
-    ServerAction action;
-    if (record->content_type != proto::TlsContentType::kHandshake) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
-    }
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages || messages->empty() ||
-        messages->front().type != proto::TlsHandshakeType::kClientHello) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
-    }
-    auto hello = proto::ClientHello::parse(messages->front().body);
-    if (!hello) {
-      return fatal_alert(proto::TlsAlertDescription::kUnexpectedMessage);
-    }
-
-    // Pick the first offered suite we "support" (all ECDHE-RSA/GCM ones).
-    std::uint16_t chosen = 0;
-    for (std::uint16_t suite : hello->cipher_suites) {
-      for (std::uint16_t known : proto::chrome_cipher_suites()) {
-        if (suite == known) {
-          chosen = suite;
-          break;
+  // Decide while the record still views `in`, then drop it.
+  std::optional<proto::ClientHello> hello;
+  bool first = true;
+  const bool framed = proto::for_each_handshake(
+      record->fragment, [&](const proto::HandshakeMessage& message) {
+        if (first && message.type == proto::TlsHandshakeType::kClientHello) {
+          hello = proto::ClientHello::parse(message.body);
         }
+        first = false;
+      });
+  std::uint16_t chosen = 0;
+  if (record->content_type == proto::TlsContentType::kHandshake && framed &&
+      hello) {
+    // Pick the first offered suite we "support" (all ECDHE-RSA/GCM ones).
+    const auto known = proto::chrome_cipher_suites();
+    for (std::size_t i = 0; i < hello->suite_count() && chosen == 0; ++i) {
+      if (std::find(known.begin(), known.end(), hello->suite(i)) !=
+          known.end()) {
+        chosen = hello->suite(i);
       }
-      if (chosen != 0) break;
     }
-    if (chosen == 0) {
-      return fatal_alert(proto::TlsAlertDescription::kHandshakeFailure);
-    }
-
-    proto::ServerHello server_hello;
-    server_hello.cipher_suite = chosen;
-    net::Rng rng(net::mix_u64(host_.seed, 0x715u));
-    for (auto& byte : server_hello.random) {
-      byte = static_cast<std::uint8_t>(rng());
-    }
-
-    proto::Certificate certificate;
-    certificate.chain.push_back(synthetic_der(rng));
-
-    auto out = proto::wrap_handshake(proto::TlsHandshakeType::kServerHello,
-                                     server_hello.serialize());
-    auto cert_record = proto::wrap_handshake(
-        proto::TlsHandshakeType::kCertificate, certificate.serialize());
-    out.insert(out.end(), cert_record.begin(), cert_record.end());
-    auto done_record = proto::wrap_handshake(
-        proto::TlsHandshakeType::kServerHelloDone, {});
-    out.insert(out.end(), done_record.begin(), done_record.end());
-
-    action.bytes = std::move(out);
-    return action;
   }
+  const bool bad_hello =
+      record->content_type != proto::TlsContentType::kHandshake || !framed ||
+      !hello;
+  in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(consumed));
 
- private:
-  static std::vector<std::uint8_t> synthetic_der(net::Rng& rng) {
-    // An opaque stand-in certificate: DER SEQUENCE header + random body.
-    std::vector<std::uint8_t> der = {0x30, 0x82, 0x00, 0x40};
-    for (int i = 0; i < 0x40; ++i) {
-      der.push_back(static_cast<std::uint8_t>(rng()));
-    }
-    return der;
+  if (chosen != 0) {
+    reply_ = Reply::kFlight;
+    suite_ = chosen;
+    return false;
   }
+  reply_ = Reply::kAlert;
+  alert_ = bad_hello ? proto::TlsAlertDescription::kUnexpectedMessage
+                     : proto::TlsAlertDescription::kHandshakeFailure;
+  return true;
+}
 
-  ServerAction fatal_alert(proto::TlsAlertDescription description) {
-    proto::TlsAlert alert;
-    alert.description = description;
-    proto::TlsRecord record;
-    record.content_type = proto::TlsContentType::kAlert;
-    record.fragment = alert.serialize();
-    ServerAction action;
-    action.bytes = record.serialize();
-    action.close = true;
-    return action;
+void TlsServer::write_reply(std::vector<std::uint8_t>& out) {
+  const Reply reply = std::exchange(reply_, Reply::kNone);
+  if (reply == Reply::kNone) return;
+  if (reply == Reply::kAlert) {
+    proto::TlsAlert{.fatal = true, .description = alert_}.write_record(out);
+    return;
   }
+  net::Rng rng(net::mix_u64(seed_, 0x715u));
+  proto::ServerHello hello;
+  hello.cipher_suite = suite_;
+  for (auto& byte : hello.random) byte = static_cast<std::uint8_t>(rng());
 
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::vector<std::uint8_t> buffer_;
-};
+  net::ByteWriter w(out);
+  proto::write_handshake_header(w, proto::TlsHandshakeType::kServerHello,
+                                proto::ServerHello::kBodySize);
+  hello.write(w);
+  // One opaque stand-in certificate: DER SEQUENCE header + random body.
+  std::array<std::uint8_t, 4 + 0x40> der = {0x30, 0x82, 0x00, 0x40};
+  for (std::size_t i = 4; i < der.size(); ++i) {
+    der[i] = static_cast<std::uint8_t>(rng());
+  }
+  proto::write_handshake_header(w, proto::TlsHandshakeType::kCertificate,
+                                3 + 3 + der.size());
+  w.u8(0);  // 24-bit chain length
+  w.u16(static_cast<std::uint16_t>(3 + der.size()));
+  w.u8(0);  // 24-bit DER length
+  w.u16(static_cast<std::uint16_t>(der.size()));
+  w.bytes(der);
+  proto::write_handshake_header(w, proto::TlsHandshakeType::kServerHelloDone,
+                                0);
+}
 
 // ----------------------------------------------------------------- SSH --
 
-class SshServer final : public ProtocolServer {
- public:
-  explicit SshServer(const Host& host) : host_(host) {}
+bool SshServer::on_open() {
+  reply_ = Reply::kBanner;
+  return false;
+}
 
-  ServerAction on_open() override {
-    // SSH servers speak first (RFC 4253 §4.2).
+bool SshServer::on_bytes(std::vector<std::uint8_t>& in) {
+  if (client_id_seen_) return false;  // study terminates before key exchange
+  const auto newline = std::find(in.begin(), in.end(), '\n');
+  if (newline == in.end()) return false;
+  const auto line_end = newline + 1;
+  const bool valid =
+      proto::SshIdentification::parse(
+          std::string_view(reinterpret_cast<const char*>(in.data()),
+                           static_cast<std::size_t>(line_end - in.begin())))
+          .has_value();
+  in.erase(in.begin(), line_end);
+  if (!valid) return true;  // protocol mismatch: drop the connection
+  client_id_seen_ = true;
+  // Follow the version exchange with our KEXINIT, as real servers do.
+  reply_ = Reply::kKexInit;
+  return false;
+}
+
+void SshServer::write_reply(std::vector<std::uint8_t>& out) {
+  const Reply reply = std::exchange(reply_, Reply::kNone);
+  if (reply == Reply::kBanner) {
     proto::SshIdentification id;
-    id.software_version = ssh_server_software(host_.seed);
-    ServerAction action;
-    action.bytes = to_bytes(id.serialize());
-    return action;
+    id.software_version = ssh_server_software(seed_);
+    id.serialize_to(out);
+  } else if (reply == Reply::kKexInit) {
+    net::Rng rng(net::mix_u64(seed_, 0x55Bu));
+    std::array<std::uint8_t, 16> cookie;
+    for (auto& byte : cookie) byte = static_cast<std::uint8_t>(rng());
+    proto::write_kexinit_packet(out, cookie, net::mix_u64(seed_, 0x9ADu));
   }
+}
 
-  ServerAction on_bytes(std::span<const std::uint8_t> data) override {
-    buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-    ServerAction action;
-    if (!client_id_seen_) {
-      const auto newline = buffer_.find('\n');
-      if (newline == std::string::npos) return {};
-      auto id = proto::SshIdentification::parse(
-          std::string_view(buffer_).substr(0, newline + 1));
-      buffer_.erase(0, newline + 1);
-      if (!id) {
-        action.close = true;  // protocol mismatch: drop the connection
-        return action;
-      }
-      client_id_seen_ = true;
-      // Follow the version exchange with our KEXINIT, as real servers do.
-      proto::SshKexInit kex;
-      net::Rng rng(net::mix_u64(host_.seed, 0x55Bu));
-      for (auto& byte : kex.cookie) byte = static_cast<std::uint8_t>(rng());
-      kex.kex_algorithms = proto::default_kex_algorithms();
-      kex.host_key_algorithms = proto::default_host_key_algorithms();
-      proto::SshPacket packet;
-      packet.payload = kex.serialize();
-      action.bytes = packet.serialize(net::mix_u64(host_.seed, 0x9ADu));
-      return action;
-    }
-    return action;  // study terminates before key exchange
-  }
+// -------------------------------------------------------------------------
 
- private:
-  Host host_;  // by value: procedural hosts have no stable table row
-  std::string buffer_;
-  bool client_id_seen_ = false;
-};
-
-}  // namespace
-
-std::string http_server_software(std::uint64_t host_seed) {
-  static constexpr std::array<const char*, 5> kServers = {
+std::string_view http_server_software(std::uint64_t host_seed) {
+  static constexpr std::array<std::string_view, 5> kServers = {
       "nginx/1.14.0", "Apache/2.4.29", "Microsoft-IIS/10.0", "lighttpd/1.4.45",
       "nginx/1.16.1"};
   return kServers[net::mix_u64(host_seed, 0x5E7Fu) % kServers.size()];
 }
 
-std::string ssh_server_software(std::uint64_t host_seed) {
-  static constexpr std::array<const char*, 5> kServers = {
+std::string_view ssh_server_software(std::uint64_t host_seed) {
+  static constexpr std::array<std::string_view, 5> kServers = {
       "OpenSSH_7.4", "OpenSSH_7.6p1", "OpenSSH_8.0", "dropbear_2019.78",
       "OpenSSH_6.6.1"};
   return kServers[net::mix_u64(host_seed, 0x55DFu) % kServers.size()];
 }
 
-std::unique_ptr<ProtocolServer> make_server(const Host& host,
-                                            proto::Protocol protocol,
-                                            const ServerOptions& options) {
-  if (!host.runs(protocol)) return nullptr;
+Server make_server(const Host& host, proto::Protocol protocol,
+                   const ServerOptions& options) {
+  if (!host.runs(protocol)) return {};
   switch (protocol) {
     case proto::Protocol::kHttp:
-      return std::make_unique<HttpServer>(host, options.forced_page_title);
+      return HttpServer(host, options.forced_page_title);
     case proto::Protocol::kHttps:
-      return std::make_unique<TlsServer>(host);
+      return TlsServer(host);
     case proto::Protocol::kSsh:
-      return std::make_unique<SshServer>(host);
+      return SshServer(host);
   }
-  return nullptr;
+  return {};
 }
 
 }  // namespace originscan::sim

@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 
 #include "core/dist.h"
 #include "core/store.h"
@@ -20,8 +22,10 @@
 #include "proto/tls.h"
 #include "scanner/blocklist.h"
 #include "scanner/permutation.h"
+#include "scanner/zgrab.h"
 #include "service/wire.h"
 #include "sim/internet.h"
+#include "tests/l7_reference.h"
 #include "tests/test_world.h"
 
 namespace originscan {
@@ -53,6 +57,35 @@ std::vector<std::uint8_t> mutate(net::Rng& rng,
     }
     if (bytes.empty()) break;
   }
+  return bytes;
+}
+
+std::vector<std::uint8_t> to_bytes(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+// What a simulated server for `protocol` sends on open plus its reply to
+// `client` (the scanner's own first flight when empty).
+std::vector<std::uint8_t> server_flight(proto::Protocol protocol,
+                                        std::uint64_t seed,
+                                        std::vector<std::uint8_t> client = {},
+                                        const sim::ServerOptions& options = {}) {
+  sim::Host host;
+  host.addr = net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(seed), 1);
+  host.services = 0b111;
+  host.seed = seed;
+  if (client.empty()) {
+    const auto flight = scan::client_flight(protocol);
+    client.assign(flight.begin(), flight.end());
+  }
+  sim::Connection connection;
+  connection.open(sim::make_server(host, protocol, options));
+  const auto opened = connection.read();
+  std::vector<std::uint8_t> bytes(opened.begin(), opened.end());
+  if (protocol == proto::Protocol::kSsh) return bytes;  // the banner
+  connection.send(client);
+  const auto reply = connection.read();
+  bytes.insert(bytes.end(), reply.begin(), reply.end());
   return bytes;
 }
 
@@ -181,74 +214,225 @@ TEST(Fuzz, HandleProbeBatchSurvivesGarbageBatches) {
   }
 }
 
+// The view parsers must accept exactly what the owning reference
+// parsers accept and extract the same fields, on valid messages, their
+// mutations and random bytes alike.
 TEST(Fuzz, TlsRecordAndHandshakeParsers) {
   net::Rng rng(103);
-  proto::ClientHello hello;
-  hello.cipher_suites.assign(proto::chrome_cipher_suites().begin(),
-                             proto::chrome_cipher_suites().end());
-  hello.server_name = "fuzz.example";
-  const auto valid = proto::wrap_handshake(
-      proto::TlsHandshakeType::kClientHello, hello.serialize());
+  const std::vector<std::vector<std::uint8_t>> valid = {
+      proto::client_hello_record(proto::chrome_cipher_suites(),
+                                 "fuzz.example"),
+      server_flight(proto::Protocol::kHttps, 42)};
 
   for (int i = 0; i < 5000; ++i) {
     const auto bytes = i % 2 == 0 ? random_bytes(rng, 200)
-                                  : mutate(rng, valid);
+                                  : mutate(rng, valid[rng.below(2)]);
     std::size_t consumed = 0;
-    auto record = proto::TlsRecord::parse(bytes, consumed);
+    std::size_t ref_consumed = 0;
+    const auto record = proto::TlsRecord::parse(bytes, consumed);
+    const auto ref = reference::TlsRecord::parse(bytes, ref_consumed);
+    ASSERT_EQ(record.has_value(), ref.has_value());
     if (!record) continue;
     EXPECT_LE(consumed, bytes.size());
-    auto messages = proto::split_handshakes(record->fragment);
-    if (!messages) continue;
-    for (const auto& message : *messages) {
-      // Sub-parsers must tolerate arbitrary bodies.
-      (void)proto::ClientHello::parse(message.body);
-      (void)proto::ServerHello::parse(message.body);
-      (void)proto::Certificate::parse(message.body);
+    EXPECT_EQ(consumed, ref_consumed);
+    EXPECT_EQ(static_cast<std::uint8_t>(record->content_type),
+              ref->content_type);
+    EXPECT_TRUE(std::ranges::equal(record->fragment, ref->fragment));
+
+    std::vector<proto::HandshakeMessage> messages;
+    const bool framed = proto::for_each_handshake(
+        record->fragment, [&](const proto::HandshakeMessage& message) {
+          messages.push_back(message);
+        });
+    const auto ref_messages = reference::split_handshakes(ref->fragment);
+    ASSERT_EQ(framed, ref_messages.has_value());
+    if (!framed) {
+      EXPECT_TRUE(messages.empty());
+      continue;
+    }
+    ASSERT_EQ(messages.size(), ref_messages->size());
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      const auto& body = messages[m].body;
+      const auto& ref_body = (*ref_messages)[m].body;
+      EXPECT_EQ(static_cast<std::uint8_t>(messages[m].type),
+                (*ref_messages)[m].type);
+      EXPECT_TRUE(std::ranges::equal(body, ref_body));
+      // Sub-parsers must tolerate arbitrary bodies, and agree.
+      const auto hello = proto::ClientHello::parse(body);
+      const auto ref_hello = reference::ClientHello::parse(ref_body);
+      ASSERT_EQ(hello.has_value(), ref_hello.has_value());
+      if (hello) {
+        ASSERT_EQ(hello->suite_count(), ref_hello->cipher_suites.size());
+        for (std::size_t k = 0; k < hello->suite_count(); ++k) {
+          EXPECT_EQ(hello->suite(k), ref_hello->cipher_suites[k]);
+        }
+        EXPECT_EQ(hello->server_name, ref_hello->server_name);
+        EXPECT_EQ(hello->random, ref_hello->random);
+      }
+      const auto server_hello = proto::ServerHello::parse(body);
+      const auto ref_server_hello = reference::ServerHello::parse(ref_body);
+      ASSERT_EQ(server_hello.has_value(), ref_server_hello.has_value());
+      if (server_hello) {
+        EXPECT_EQ(server_hello->cipher_suite, ref_server_hello->cipher_suite);
+        EXPECT_EQ(server_hello->random, ref_server_hello->random);
+      }
+      const auto cert = proto::Certificate::parse(body);
+      const auto ref_cert = reference::Certificate::parse(ref_body);
+      ASSERT_EQ(cert.has_value(), ref_cert.has_value());
+      if (cert) {
+        EXPECT_EQ(cert->chain_size, ref_cert->chain.size());
+        if (!ref_cert->chain.empty()) {
+          EXPECT_TRUE(std::ranges::equal(cert->leaf, ref_cert->chain[0]));
+        }
+      }
     }
   }
 }
 
 TEST(Fuzz, SshParsers) {
   net::Rng rng(104);
-  proto::SshKexInit kex;
-  kex.kex_algorithms = proto::default_kex_algorithms();
-  kex.host_key_algorithms = proto::default_host_key_algorithms();
-  proto::SshPacket packet;
-  packet.payload = kex.serialize();
-  const auto valid = packet.serialize(9);
+  const std::vector<std::vector<std::uint8_t>> valid = {
+      server_flight(proto::Protocol::kSsh, 42),
+      to_bytes("SSH-1.99-OpenSSH_8.0 Ubuntu-6\r\n")};
+  std::vector<std::uint8_t> kexinit;
+  const std::array<std::uint8_t, 16> cookie{};
+  proto::write_kexinit_packet(kexinit, cookie, 9);
 
   for (int i = 0; i < 5000; ++i) {
     const auto bytes = i % 2 == 0 ? random_bytes(rng, 200)
-                                  : mutate(rng, valid);
-    auto parsed = proto::SshPacket::parse(bytes);
-    if (parsed) {
-      (void)proto::SshKexInit::parse(parsed->payload);
-    }
-    // Identification-line parser on random text.
+                                  : mutate(rng, valid[rng.below(2)]);
     const std::string line(bytes.begin(), bytes.end());
-    (void)proto::SshIdentification::parse(line);
+    const auto id = proto::SshIdentification::parse(line);
+    const auto ref = reference::SshIdentification::parse(line);
+    ASSERT_EQ(id.has_value(), ref.has_value()) << line;
+    if (id) {
+      EXPECT_EQ(id->protocol_version, ref->protocol_version);
+      EXPECT_EQ(id->software_version, ref->software_version);
+      EXPECT_EQ(id->comment, ref->comment);
+    }
+    // The KEXINIT writer's output, damaged, must not trip its decoder.
+    const auto packet = mutate(rng, kexinit);
+    if (auto payload = reference::ssh_packet_payload(packet)) {
+      (void)reference::SshKexInit::parse(*payload);
+    }
   }
 }
 
 TEST(Fuzz, HttpParsers) {
   net::Rng rng(105);
-  const std::string valid_request = proto::HttpRequest{}.serialize();
-  proto::HttpResponse response;
-  response.title = "t";
-  const std::string valid_response = response.serialize();
+  const std::vector<std::vector<std::uint8_t>> valid = {
+      std::vector<std::uint8_t>(
+          scan::client_flight(proto::Protocol::kHttp).begin(),
+          scan::client_flight(proto::Protocol::kHttp).end()),
+      to_bytes("GET /a HTTP/1.0\r\nhOsT: one\r\nHost:two \r\n"
+               "USER-agent:\tx\r\n\r\n"),
+      server_flight(proto::Protocol::kHttp, 42),
+      to_bytes("HTTP/1.1 301 Moved\r\nSERVER: a\r\nServer: b\r\n"
+               "location: /x\r\nContent-Length: 9\r\ncontent-length:  "
+               "30 \r\n\r\n<title>in</title>x<title>out</title>")};
 
   for (int i = 0; i < 5000; ++i) {
-    std::vector<std::uint8_t> base(
-        i % 2 == 0 ? std::vector<std::uint8_t>(valid_request.begin(),
-                                               valid_request.end())
-                   : std::vector<std::uint8_t>(valid_response.begin(),
-                                               valid_response.end()));
     const auto bytes = i % 3 == 0 ? random_bytes(rng, 300)
-                                  : mutate(rng, std::move(base));
+                                  : mutate(rng, valid[rng.below(4)]);
     const std::string text(bytes.begin(), bytes.end());
-    (void)proto::HttpRequest::parse(text);
-    (void)proto::HttpResponse::parse(text);
-    (void)proto::extract_title(text);
+    const auto request = proto::HttpRequest::parse(text);
+    const auto ref_request = reference::HttpRequest::parse(text);
+    ASSERT_EQ(request.has_value(), ref_request.has_value()) << text;
+    if (request) {
+      EXPECT_EQ(request->method, ref_request->method);
+      EXPECT_EQ(request->target, ref_request->target);
+      EXPECT_EQ(request->host, ref_request->host);
+      EXPECT_EQ(request->user_agent, ref_request->user_agent);
+    }
+    const auto response = proto::HttpResponse::parse(text);
+    const auto ref_response = reference::HttpResponse::parse(text);
+    ASSERT_EQ(response.has_value(), ref_response.has_value()) << text;
+    if (response) {
+      EXPECT_EQ(response->status_code, ref_response->status_code);
+      EXPECT_EQ(response->reason, ref_response->reason);
+      EXPECT_EQ(response->server, ref_response->server);
+      EXPECT_EQ(response->title, ref_response->title);
+      const auto location = ref_response->extra_headers.find("location");
+      EXPECT_EQ(response->location,
+                location == ref_response->extra_headers.end()
+                    ? std::string()
+                    : location->second);
+    }
+    EXPECT_EQ(proto::extract_title(text), reference::extract_title(text));
+  }
+}
+
+TEST(Fuzz, GrabClassificationMatchesReference) {
+  // Real server flights — pages, redirects, 400s, block pages, TLS
+  // flights and alerts, SSH banners — delivered whole, truncated to half
+  // (what banner_trunc does), cut short at a random length, garbled, or
+  // replaced by noise, under every way the peer can end the connection.
+  // The lean client path must classify each exactly as the owning-parser
+  // reference does.
+  net::Rng rng(106);
+  std::vector<std::pair<proto::Protocol, std::vector<std::uint8_t>>> flights;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    for (proto::Protocol protocol : proto::kAllProtocols) {
+      flights.emplace_back(protocol, server_flight(protocol, seed));
+    }
+  }
+  flights.emplace_back(proto::Protocol::kHttp,
+                       server_flight(proto::Protocol::kHttp, 7,
+                                     to_bytes("NONSENSE\r\n\r\n")));
+  flights.emplace_back(proto::Protocol::kHttp,
+                       server_flight(proto::Protocol::kHttp, 7, {},
+                                     {.forced_page_title = "Blocked Site"}));
+  const std::uint16_t tls13_only[] = {0x1301};
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    flights.emplace_back(proto::Protocol::kHttps,
+                         server_flight(proto::Protocol::kHttps, seed,
+                                       proto::client_hello_record(tls13_only)));
+    flights.emplace_back(proto::Protocol::kHttps,
+                         server_flight(proto::Protocol::kHttps, seed,
+                                       {21, 3, 3, 0, 2, 1, 0}));
+  }
+
+  std::map<sim::L7Outcome, int> seen;
+  for (int i = 0; i < 20000; ++i) {
+    const auto& [protocol, whole] = flights[rng.below(flights.size())];
+    std::vector<std::uint8_t> bytes = whole;
+    switch (rng.below(6)) {
+      case 0:
+        break;
+      case 1:
+        bytes.resize(bytes.size() / 2);
+        break;
+      case 2:
+        bytes.resize(rng.below(bytes.size() + 1));
+        break;
+      case 3:
+        bytes = mutate(rng, std::move(bytes));
+        break;
+      case 4:
+        bytes = random_bytes(rng, 120);
+        break;
+      default:
+        bytes.clear();
+        break;
+    }
+    const bool closed = rng.below(2) == 0;
+    const bool reset = rng.below(8) == 0;
+    const auto lean = scan::classify_flight(protocol, bytes, closed, reset);
+    const auto ref =
+        reference::classify_flight(protocol, bytes, closed, reset);
+    ASSERT_EQ(lean.outcome, ref.outcome)
+        << proto::name_of(protocol) << " case " << i;
+    EXPECT_EQ(lean.banner, ref.banner);
+    EXPECT_EQ(lean.explicit_close, ref.explicit_close);
+    ++seen[lean.outcome];
+  }
+  // Every outcome a flight can produce was exercised.
+  for (sim::L7Outcome outcome :
+       {sim::L7Outcome::kCompleted, sim::L7Outcome::kProtocolError,
+        sim::L7Outcome::kClosedMidHandshake, sim::L7Outcome::kReadTimeout,
+        sim::L7Outcome::kClosedBeforeData,
+        sim::L7Outcome::kResetAfterAccept}) {
+    EXPECT_GT(seen[outcome], 50) << sim::to_string(outcome);
   }
 }
 

@@ -228,8 +228,10 @@ TEST(Outage, WideEventHitsManyAses) {
 TEST(Server, NullForMissingService) {
   Host host;
   host.services = 0b001;  // HTTP only
-  EXPECT_NE(make_server(host, proto::Protocol::kHttp), nullptr);
-  EXPECT_EQ(make_server(host, proto::Protocol::kSsh), nullptr);
+  EXPECT_TRUE(std::holds_alternative<HttpServer>(
+      make_server(host, proto::Protocol::kHttp)));
+  EXPECT_TRUE(std::holds_alternative<NoServer>(
+      make_server(host, proto::Protocol::kSsh)));
 }
 
 // -------------------------------------------------------------- internet --
@@ -295,20 +297,20 @@ TEST(Internet, ConnectRunsHttpExchange) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto connection = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5),
-                                     proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(connection, nullptr);
-  EXPECT_FALSE(connection->peer_reset());
+  Connection connection;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {}, 0,
+                               connection));
+  EXPECT_FALSE(connection.peer_reset());
 
-  const std::string request = proto::HttpRequest{}.serialize();
-  connection->send(std::span(
-      reinterpret_cast<const std::uint8_t*>(request.data()), request.size()));
-  const auto reply = connection->read();
+  std::vector<std::uint8_t> request;
+  proto::HttpRequest{}.serialize_to(request);
+  connection.send(request);
+  const auto reply = connection.read();
   ASSERT_FALSE(reply.empty());
   const std::string reply_text(reply.begin(), reply.end());
   EXPECT_NE(reply_text.find("HTTP/1.1"), std::string::npos);
-  EXPECT_TRUE(connection->peer_closed());
+  EXPECT_TRUE(connection.peer_closed());
 }
 
 TEST(Internet, SshServerSpeaksFirst) {
@@ -318,11 +320,11 @@ TEST(Internet, SshServerSpeaksFirst) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto connection = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5), proto::Protocol::kSsh,
-                                     {}, 0);
-  ASSERT_NE(connection, nullptr);
-  const auto banner = connection->read();
+  Connection connection;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kSsh, {}, 0,
+                               connection));
+  const auto banner = connection.read();
   ASSERT_FALSE(banner.empty());
   const std::string text(banner.begin(), banner.end());
   EXPECT_EQ(text.rfind("SSH-2.0-", 0), 0u);
@@ -345,9 +347,9 @@ TEST(Internet, ConnectFailsForAbsentHost) {
       break;
     }
   }
-  EXPECT_EQ(internet.connect(0, world.origins[0].source_ips[0], missing,
-                             proto::Protocol::kHttp, {}, 0),
-            nullptr);
+  Connection connection;
+  EXPECT_FALSE(internet.connect(0, world.origins[0].source_ips[0], missing,
+                                proto::Protocol::kHttp, {}, 0, connection));
 }
 
 // ---------------------------------------------------------------- policy --
@@ -400,18 +402,18 @@ TEST(Policy, RstAfterAcceptAndL7Drop) {
   context.experiment_seed = world.seed;
   Internet internet(&world, context, &persistent);
 
-  auto reset_conn = internet.connect(0, world.origins[0].source_ips[0],
-                                     net::Ipv4Addr(5),
-                                     proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(reset_conn, nullptr);
-  EXPECT_TRUE(reset_conn->peer_reset());
+  Connection reset_conn;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(5), proto::Protocol::kHttp, {}, 0,
+                               reset_conn));
+  EXPECT_TRUE(reset_conn.peer_reset());
 
-  auto hung_conn = internet.connect(0, world.origins[0].source_ips[0],
-                                    net::Ipv4Addr(256 + 5),
-                                    proto::Protocol::kHttp, {}, 0);
-  ASSERT_NE(hung_conn, nullptr);
-  EXPECT_TRUE(hung_conn->hung());
-  EXPECT_TRUE(hung_conn->read().empty());
+  Connection hung_conn;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0],
+                               net::Ipv4Addr(256 + 5), proto::Protocol::kHttp,
+                               {}, 0, hung_conn));
+  EXPECT_TRUE(hung_conn.hung());
+  EXPECT_TRUE(hung_conn.read().empty());
 }
 
 TEST(Policy, GeoRestrictionAllowsOnlyInCountry) {
@@ -497,27 +499,27 @@ TEST(Policy, TemporalRstKicksInMidScan) {
   const auto early = net::VirtualTime::from_hours(2);
   const auto late = net::VirtualTime::from_hours(18);
 
-  auto conn_early = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                     proto::Protocol::kSsh, early, 0);
-  ASSERT_NE(conn_early, nullptr);
-  EXPECT_FALSE(conn_early->peer_reset());
+  Connection conn_early;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kSsh, early, 0, conn_early));
+  EXPECT_FALSE(conn_early.peer_reset());
 
-  auto conn_late = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                    proto::Protocol::kSsh, late, 0);
-  ASSERT_NE(conn_late, nullptr);
-  EXPECT_TRUE(conn_late->peer_reset());
+  Connection conn_late;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kSsh, late, 0, conn_late));
+  EXPECT_TRUE(conn_late.peer_reset());
 
   // HTTP is unaffected (the rule is SSH-specific).
-  auto http_late = internet.connect(0, world.origins[0].source_ips[0], dst,
-                                    proto::Protocol::kHttp, late, 0);
-  ASSERT_NE(http_late, nullptr);
-  EXPECT_FALSE(http_late->peer_reset());
+  Connection http_late;
+  ASSERT_TRUE(internet.connect(0, world.origins[0].source_ips[0], dst,
+                               proto::Protocol::kHttp, late, 0, http_late));
+  EXPECT_FALSE(http_late.peer_reset());
 
   // Multi-IP origins are not detected (single_ip_only).
-  auto multi_late = internet.connect(2, world.origins[2].source_ips[0], dst,
-                                     proto::Protocol::kSsh, late, 0);
-  ASSERT_NE(multi_late, nullptr);
-  EXPECT_FALSE(multi_late->peer_reset());
+  Connection multi_late;
+  ASSERT_TRUE(internet.connect(2, world.origins[2].source_ips[0], dst,
+                               proto::Protocol::kSsh, late, 0, multi_late));
+  EXPECT_FALSE(multi_late.peer_reset());
 }
 
 TEST(Policy, BlockRuleStartTrialPhaseIn) {

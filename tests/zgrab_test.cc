@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "scanner/zgrab.h"
 #include "sim/scenario.h"
 #include "tests/test_world.h"
@@ -135,6 +137,51 @@ TEST_F(ZGrabTest, RetriesRecoverMaxStartupsRefusals) {
   }
   ASSERT_GT(failed_first, kHosts / 4);
   EXPECT_GT(recovered, failed_first / 2);
+}
+
+TEST_F(ZGrabTest, ReusedConnectionMatchesFreshEngines) {
+  // An engine keeps one Connection from target to target. What it
+  // grabbed before — a page, a refused SSH handshake, a closed or reset
+  // peer — must not leak into the next grab: every result equals that of
+  // a fresh engine on an identical, untouched Internet.
+  originscan::testing::MiniWorldOptions options;
+  options.maxstartups = proto::MaxStartups{1, 80, 200};
+  world_ = make_mini_world(options);
+  world_.maxstartups.background_load_mean = 30;
+  const sim::AsId beta = world_.topology.find_as("Beta");
+  sim::BlockRule rule;
+  rule.origins = sim::origin_bit(0);
+  rule.mode = sim::BlockMode::kServeBlockPage;
+  world_.policies.edit(beta).blocks.push_back(rule);
+
+  for (proto::Protocol protocol : proto::kAllProtocols) {
+    sim::PersistentState shared_state;
+    sim::PersistentState fresh_state;
+    sim::Internet shared_net(&world_, context_for(world_), &shared_state);
+    sim::Internet fresh_net(&world_, context_for(world_), &fresh_state);
+    const ZGrabConfig config{.protocol = protocol, .retry = {.max_retries = 1}};
+    ZGrabEngine shared(config, &shared_net, 0);
+    std::map<sim::L7Outcome, int> outcomes;
+    for (std::uint32_t addr = 0; addr < world_.universe_size; addr += 3) {
+      const net::Ipv4Addr dst(addr);
+      const auto reused = shared.grab(world_.origins[0].source_ips[0], dst, {});
+      ZGrabEngine fresh(config, &fresh_net, 0);
+      const auto alone = fresh.grab(world_.origins[0].source_ips[0], dst, {});
+      ASSERT_EQ(reused.outcome, alone.outcome) << dst.to_string();
+      EXPECT_EQ(reused.banner, alone.banner);
+      EXPECT_EQ(reused.explicit_close, alone.explicit_close);
+      EXPECT_EQ(reused.attempts, alone.attempts);
+      ++outcomes[reused.outcome];
+    }
+    EXPECT_GT(outcomes[sim::L7Outcome::kCompleted], 0)
+        << proto::name_of(protocol);
+    if (protocol == proto::Protocol::kSsh) {
+      // The sequence really alternates served and refused connections.
+      EXPECT_GT(outcomes[sim::L7Outcome::kClosedBeforeData] +
+                    outcomes[sim::L7Outcome::kResetAfterAccept],
+                0);
+    }
+  }
 }
 
 TEST(ZGrabRetryable, Classification) {

@@ -11,7 +11,11 @@
 // trip or a lock. Benchmarks present only in the candidate are reported
 // and pass (new benchmarks shouldn't require a baseline update to land);
 // benchmarks that disappeared from the candidate fail, because a silently
-// dropped benchmark is how a gate goes blind.
+// dropped benchmark is how a gate goes blind. Timings from different
+// hardware are not comparable, so the gate also fails — asking for the
+// baseline to be re-recorded on this host — when the reports' context
+// disagrees on num_cpus or cpu_model (the CPU model micro_scanner stamps
+// into its context). No threshold widens that check.
 //
 // --overhead compares two benchmarks within ONE report: it fails when
 // <variant>'s cpu_time exceeds <base>'s by more than the threshold
@@ -82,6 +86,31 @@ std::map<std::string, double> load_report(const char* path) {
     }
   }
   return times;
+}
+
+// The host facts a google-benchmark report's context records.
+struct HostContext {
+  double num_cpus = 0;
+  std::string cpu_model;  // empty when the report has none
+};
+
+HostContext load_context(const char* path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_gate: cannot open %s\n", path);
+    std::exit(2);
+  }
+  HostContext context;
+  context.num_cpus = std::strtod("nan", nullptr);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"benchmarks\":") != std::string::npos) break;
+    const double cpus = number_value(line, "num_cpus");
+    if (cpus == cpus) context.num_cpus = cpus;
+    const std::string model = string_value(line, "cpu_model");
+    if (!model.empty()) context.cpu_model = model;
+  }
+  return context;
 }
 
 int run_overhead(int argc, char** argv) {
@@ -205,6 +234,20 @@ int main(int argc, char** argv) {
   if (!(threshold > 0)) {
     std::fprintf(stderr, "bench_gate: bad threshold %s\n", argv[3]);
     return 2;
+  }
+
+  const HostContext base_host = load_context(argv[1]);
+  const HostContext cand_host = load_context(argv[2]);
+  if (!(base_host.num_cpus == cand_host.num_cpus) ||
+      base_host.cpu_model != cand_host.cpu_model) {
+    std::printf(
+        "bench_gate: %s was recorded on another host (num_cpus %g, "
+        "cpu_model \"%s\") than %s (num_cpus %g, cpu_model \"%s\"); "
+        "timings from different hardware are not comparable — re-record "
+        "the baseline on this host with bench/record.sh\n",
+        argv[1], base_host.num_cpus, base_host.cpu_model.c_str(), argv[2],
+        cand_host.num_cpus, cand_host.cpu_model.c_str());
+    return 1;
   }
 
   const auto baseline = load_report(argv[1]);
